@@ -95,4 +95,11 @@ bool Flags::get_bool(const std::string& name, bool fallback) const {
   return it->second == "true" || it->second == "1" || it->second == "yes";
 }
 
+std::vector<std::string> Flags::names() const {
+  std::vector<std::string> names;
+  names.reserve(values_.size());
+  for (const auto& entry : values_) names.push_back(entry.first);
+  return names;
+}
+
 }  // namespace mmlpt

@@ -11,7 +11,8 @@ namespace mmlpt {
 
 /// Parses flags of the form `--name=value` or `--name value`; anything else
 /// is kept as a positional argument. Unknown flags are allowed (benches
-/// forward leftover args to google-benchmark). The bare family switches
+/// forward leftover args to google-benchmark); a tool that rejects them
+/// checks names() against the flags it takes. The bare family switches
 /// `-4` / `-6` are recognised anywhere and map to `--family 4|6` (last
 /// one wins), so they never get consumed as another flag's value.
 class Flags {
@@ -28,6 +29,8 @@ class Flags {
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
+  /// Every flag name given, without its dashes, in sorted order.
+  [[nodiscard]] std::vector<std::string> names() const;
 
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;

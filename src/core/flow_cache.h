@@ -7,9 +7,7 @@
 // The cache is also the seam of the window-based probing pipeline: a
 // tracer assembles the probes its stopping rule has already committed to,
 // hands them to prefetch() — one ProbeEngine::probe_batch call, i.e. one
-// TransportQueue submission per retry round, which is the unit the fleet
-// merger (orchestrator::FleetTransportHub) gathers into shared bursts —
-// then consumes them through probe() in the exact order a serial tracer
+// TransportQueue submission per retry round — then consumes them through probe() in the exact order a serial tracer
 // would have sent them. Prefetched-but-unconsumed entries are invisible to
 // lookup()/flows_at()/flows_reaching() and to the packet accounting, so
 // every observable — discovered topology, discovery-event stamps, flow

@@ -34,9 +34,8 @@ enum class Algorithm : std::uint8_t { kMda, kMdaLite, kSingleFlow };
                                     ReplyObserver* observer = nullptr);
 
 /// Same, but over a caller-supplied transport queue — the seam that lets
-/// the fleet orchestrator interpose decorators (rate limiting, latency
-/// emulation), multiplex the trace onto a shared fleet transport
-/// (FleetTransportHub channel), or swap in a real RawSocketNetwork.
+/// the fleet orchestrator interpose decorators (rate limiting,
+/// cancellation) or swap in a real RawSocketNetwork.
 /// `source`/`destination` address the crafted probes. The engine owns
 /// the queue's tickets for the duration of the trace.
 [[nodiscard]] TraceResult run_trace_with_network(

@@ -60,7 +60,7 @@ FleetJobCounters run_fleet_job(orchestrator::FleetScheduler& fleet,
         return survey::trace_route_task(
             feeder.route(context.task_index), spec.algorithm, trace_config,
             sim, survey::ip_trace_seed(spec.seed, context.task_index),
-            context.limiter, context.hub, hooks.tenant_limiter, hooks.cancel);
+            context.limiter, hooks.tenant_limiter, hooks.cancel);
       },
       [&](std::size_t i, core::TraceResult& trace) {
         const std::string label =

@@ -7,12 +7,11 @@
 // frames).
 //
 // The scheduler is a parameter, not a local: the daemon constructs ONE
-// FleetScheduler (owning the fleet-wide RateLimiter and, with
-// --merge-windows, the FleetTransportHub) and runs every tenant's jobs
-// through it, concurrently — FleetScheduler::run is re-entrant (see
-// fleet.h), per-job determinism comes from the spec's seed alone, and
-// the shared limiter/hub make "packets per second" mean DAEMON packets
-// across all tenants.
+// FleetScheduler (owning the fleet-wide RateLimiter) and runs every
+// tenant's jobs through it, concurrently — FleetScheduler::run is
+// re-entrant (see fleet.h), per-job determinism comes from the spec's
+// seed alone, and the shared limiter makes "packets per second" mean
+// DAEMON packets across all tenants.
 #ifndef MMLPT_DAEMON_FLEET_JOB_H
 #define MMLPT_DAEMON_FLEET_JOB_H
 

@@ -1,6 +1,6 @@
 // The mmlptd wire protocol: length-prefixed, CRC-checked, versioned
 // frames over a unix stream socket. One privileged daemon owns the fleet
-// scheduler, transport hub and stop set; many cheap unprivileged clients
+// scheduler, rate limiter and stop set; many cheap unprivileged clients
 // connect, negotiate a protocol version, submit trace jobs and stream
 // back progress, JSONL result lines and a final status.
 //

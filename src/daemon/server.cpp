@@ -543,12 +543,6 @@ std::string Daemon::status_json() const {
   w.value(config_.fleet.pps);
   w.key("burst");
   w.value(static_cast<std::int64_t>(config_.fleet.burst));
-  w.key("merge_windows");
-  w.value(config_.fleet.merge_windows);
-  w.key("pipeline_depth");
-  w.value(static_cast<std::int64_t>(config_.fleet.pipeline_depth));
-  w.key("transport");
-  w.value(std::string(probe::resolved_transport_name(config_.transport)));
   w.end_object();
   w.key("stop_set_active");
   w.value(stop_set_session_.active());

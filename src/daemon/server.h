@@ -1,8 +1,8 @@
 // mmlptd: the measurement daemon. ONE privileged process owns the whole
-// probing stack — FleetScheduler (fleet-wide RateLimiter +
-// FleetTransportHub) and StopSetSession — and serves trace jobs to many
-// cheap unprivileged clients over a unix stream socket speaking the
-// framed protocol in protocol.h.
+// probing stack — FleetScheduler (fleet-wide RateLimiter) and
+// StopSetSession — and serves trace jobs to many cheap unprivileged
+// clients over a unix stream socket speaking the framed protocol in
+// protocol.h. Every job probes the Fakeroute simulator.
 //
 // Concurrency shape:
 //   * one accept thread polls { listen fd, shutdown pipe };
@@ -44,13 +44,12 @@
 #include "obs/metrics.h"
 #include "orchestrator/fleet.h"
 #include "orchestrator/stop_set.h"
-#include "probe/transport_select.h"
 
 namespace mmlpt::daemon {
 
 struct DaemonConfig {
   std::string socket_path;
-  orchestrator::FleetConfig fleet;  ///< shared scheduler (jobs/pps/burst/hub)
+  orchestrator::FleetConfig fleet;  ///< shared scheduler (jobs/pps/burst)
   AdmissionLimits admission;
   /// Stop-set store shared across ALL clients ("" = feature off).
   std::string topology_cache;
@@ -58,9 +57,6 @@ struct DaemonConfig {
   fakeroute::SimConfig sim;
   /// Jobs a connection may have queued behind its running one.
   int max_queued_jobs_per_connection = 4;
-  /// Real-network backend choice, echoed (resolved) in status_json so
-  /// operators can tell which transport a daemon would probe with.
-  probe::TransportKind transport = probe::TransportKind::kAuto;
 };
 
 class Daemon {
@@ -89,7 +85,7 @@ class Daemon {
   /// The daemon status document sent in ServerStatus frames.
   [[nodiscard]] std::string status_json() const;
   /// The process-wide registry behind Metrics frames: every subsystem —
-  /// transport backends, hub, stop set, admission — registers here.
+  /// transport backends, limiter, stop set, admission — registers here.
   [[nodiscard]] obs::MetricsRegistry& metrics() noexcept { return metrics_; }
 
  private:

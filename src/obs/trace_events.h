@@ -9,9 +9,11 @@
 // the process-global recorder() pointer, which is null unless a CLI saw
 // --trace-events FILE. Disabled, every span/instant helper is one
 // null-check and nothing else — no clock read, no allocation, no lock.
-// Enabled, events append under a mutex (instrumented paths are bursty,
-// not per-packet-hot; the probe hot path records per-WINDOW spans and
-// per-reply instants, never per-syscall events).
+// Enabled, every event appends under a mutex, and the probe path IS
+// per-packet hot: the engine records one span per window and one
+// rtt_sample instant per reply, so at window 1 that is two events per
+// probe. A recorded fleet run at window 1 costs 1.5-2x the CPU of an
+// unrecorded one; record short runs, not surveys.
 //
 // set_recorder() must be called before any instrumented thread starts
 // (the CLIs set it during flag parsing) and cleared only after they

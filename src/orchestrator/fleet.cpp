@@ -11,13 +11,6 @@ FleetScheduler::FleetScheduler(FleetConfig config)
       limiter_->instrument(*config_.metrics, "fleet");
     }
   }
-  if (config_.merge_windows) {
-    FleetTransportHub::Config hub_config;
-    hub_config.limiter = limiter_.get();
-    hub_config.pipeline_depth = config_.pipeline_depth;
-    hub_config.metrics = config_.metrics;
-    hub_ = std::make_unique<FleetTransportHub>(hub_config);
-  }
 }
 
 }  // namespace mmlpt::orchestrator

@@ -20,10 +20,10 @@
 //
 // Lifetime / re-entrancy: a FleetScheduler is NOT tied to a single run.
 // run() and run_streaming() keep every piece of mutable state local to
-// the call (base_rng_ is only fork()ed, never drawn from; the limiter
-// and hub are internally synchronized), so a long-lived scheduler — the
-// mmlptd daemon owns exactly one — may execute MANY runs concurrently
-// from different threads. Each run's determinism still holds
+// the call (base_rng_ is only fork()ed, never drawn from; the limiter is
+// internally synchronized), so a long-lived scheduler — the mmlptd
+// daemon owns exactly one — may execute MANY runs concurrently from
+// different threads. Each run's determinism still holds
 // independently: task i of a run draws from Rng(config.seed).fork(i)
 // regardless of what other runs are in flight.
 #ifndef MMLPT_ORCHESTRATOR_FLEET_H
@@ -43,7 +43,6 @@
 #include "common/mutex.h"
 #include "common/rng.h"
 #include "common/thread_annotations.h"
-#include "orchestrator/fleet_transport.h"
 #include "orchestrator/rate_limiter.h"
 
 namespace mmlpt::orchestrator {
@@ -57,15 +56,7 @@ struct FleetConfig {
   double pps = 0.0;
   /// Token-bucket burst capacity when pps > 0.
   int burst = 64;
-  /// Merge the committed windows of concurrent traces into shared fleet
-  /// bursts through a FleetTransportHub (see fleet_transport.h). Results
-  /// are invariant: merging only changes wall-clock behaviour.
-  bool merge_windows = false;
-  /// Merged bursts that may be in flight at once (see
-  /// FleetTransportHub::Config::pipeline_depth). 1 = strict
-  /// resolve-before-next-burst; only meaningful with merge_windows.
-  int pipeline_depth = 1;
-  /// Registry the fleet's hub and limiter register their series in;
+  /// Registry the fleet's limiter registers its series in;
   /// null = each component falls back to a private registry. Must
   /// outlive the scheduler.
   obs::MetricsRegistry* metrics = nullptr;
@@ -78,11 +69,6 @@ struct WorkerContext {
   int worker_id;
   Rng rng;
   RateLimiter* limiter;
-  /// The cross-trace window merger; nullptr unless config.merge_windows.
-  /// Tasks that probe should open_channel() their transport over it —
-  /// the hub already charges `limiter` per merged burst, so merged
-  /// transports must NOT also be wrapped in ThrottledNetwork.
-  FleetTransportHub* hub;
 };
 
 class FleetScheduler {
@@ -92,8 +78,6 @@ class FleetScheduler {
   [[nodiscard]] const FleetConfig& config() const noexcept { return config_; }
   /// The shared fleet-wide limiter; nullptr when config().pps <= 0.
   [[nodiscard]] RateLimiter* limiter() noexcept { return limiter_.get(); }
-  /// The cross-trace window merger; nullptr unless config().merge_windows.
-  [[nodiscard]] FleetTransportHub* hub() noexcept { return hub_.get(); }
   /// The registry handed in via FleetConfig::metrics; nullptr when the
   /// run is uninstrumented.
   [[nodiscard]] obs::MetricsRegistry* metrics() noexcept {
@@ -158,7 +142,7 @@ class FleetScheduler {
 
     const auto make_context = [this](std::size_t task, int worker) {
       return WorkerContext{task, worker, base_rng_.fork(task),
-                           limiter_.get(), hub_.get()};
+                           limiter_.get()};
     };
 
     if (config_.jobs <= 1 || task_count <= 1) {
@@ -280,7 +264,6 @@ class FleetScheduler {
   FleetConfig config_;
   Rng base_rng_;  ///< only fork(stream_id)ed — never drawn from
   std::unique_ptr<RateLimiter> limiter_;
-  std::unique_ptr<FleetTransportHub> hub_;
 };
 
 }  // namespace mmlpt::orchestrator

@@ -84,7 +84,7 @@ class ProbeEngine {
 
   /// The engine drives the transport through the submit/completion
   /// queue and owns its tickets: do not interleave other submissions on
-  /// the same queue object (multiplexing is FleetTransportHub's job).
+  /// the same queue object.
   ProbeEngine(TransportQueue& network, Config config);
 
   /// The trace's address family (source and destination always agree).

@@ -507,7 +507,7 @@ void IoUringNetwork::cancel_ticket_timeout(Ticket ticket) {
 void IoUringNetwork::reap_settled_timeouts() {
   // O(tickets): the attributor keeps a per-ticket pending count, so the
   // sweep never rescans the pending-slot table per ticket (quadratic
-  // under the fleet hub, which multiplexes many tracers onto one ring).
+  // once many tickets share one ring).
   for (auto it = ticket_timeouts_.begin(); it != ticket_timeouts_.end();) {
     const Ticket ticket = it->first;
     ++it;  // advance first: cancel_ticket_timeout erases the entry

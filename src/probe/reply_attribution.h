@@ -133,8 +133,8 @@ class ReplyAttributor {
   }
   /// Still-pending slots of `ticket`, O(1). The ring backend sweeps its
   /// per-ticket timeouts against this instead of rescanning every
-  /// pending slot per ticket (quadratic under the fleet hub, which
-  /// multiplexes many tracers' tickets onto one backend).
+  /// pending slot per ticket (quadratic once many tickets share one
+  /// backend).
   [[nodiscard]] std::size_t pending_for(Ticket ticket) const noexcept;
   /// Earliest deadline across the pending slots; nullopt when none.
   [[nodiscard]] std::optional<Clock::time_point> earliest_deadline() const;

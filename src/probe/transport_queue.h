@@ -6,9 +6,7 @@
 // demultiplexed over one shared transport.
 //
 // This is the primary probing interface: ProbeEngine drives it directly,
-// the fleet merger (orchestrator::FleetTransportHub) multiplexes many
-// tracers' windows onto one backend through it, and the blocking
-// Network::transact_batch of the earlier pipeline survives only as a
+// and the blocking Network::transact_batch of the earlier pipeline survives only as a
 // compatibility shim layered on top (see network.h).
 //
 // Contract:
@@ -21,8 +19,7 @@
 //     with a reply, unanswered (deadline), or canceled.
 //   * cancel(ticket) resolves that ticket's still-pending slots as
 //     canceled completions, surfaced by the next poll_completions().
-//   * Queues are single-threaded objects unless documented otherwise;
-//     cross-thread merging is the hub's job, not the backend's.
+//   * Queues are single-threaded objects unless documented otherwise.
 #ifndef MMLPT_PROBE_TRANSPORT_QUEUE_H
 #define MMLPT_PROBE_TRANSPORT_QUEUE_H
 

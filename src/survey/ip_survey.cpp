@@ -1,6 +1,5 @@
 #include "survey/ip_survey.h"
 
-#include <memory>
 #include <optional>
 
 #include "core/trace_json.h"
@@ -17,25 +16,18 @@ core::TraceResult trace_route_task(const topo::GroundTruth& route,
                                    const fakeroute::SimConfig& sim,
                                    std::uint64_t seed,
                                    orchestrator::RateLimiter* limiter,
-                                   orchestrator::FleetTransportHub* hub,
                                    orchestrator::RateLimiter* tenant_limiter,
                                    probe::CancelToken* cancel) {
-  if (!hub && !limiter && !tenant_limiter && !cancel) {
+  if (!limiter && !tenant_limiter && !cancel) {
     return core::run_trace(route, algorithm, trace, sim, seed);
   }
   fakeroute::Simulator simulator(route, sim, seed);
   probe::SimulatedNetwork network(simulator);
   probe::Network* transport = &network;
 
-  // Fleet layer: merged windows (the hub charges the fleet limiter per
-  // burst — a ThrottledNetwork here would bill every probe twice) or a
-  // plain fleet-wide throttle.
-  std::unique_ptr<orchestrator::FleetTransportHub::Channel> channel;
+  // Fleet layer: the fleet-wide throttle.
   std::optional<orchestrator::ThrottledNetwork> fleet_throttled;
-  if (hub) {
-    channel = hub->open_channel(network);
-    transport = channel.get();
-  } else if (limiter) {
+  if (limiter) {
     fleet_throttled.emplace(*transport, *limiter);
     transport = &*fleet_throttled;
   }
@@ -86,8 +78,7 @@ IpSurveyResult run_ip_survey(const IpSurveyConfig& config,
                                     {{"transport", "sim"}})
           : nullptr;
   orchestrator::FleetScheduler fleet(
-      {config.jobs, config.seed, config.pps, config.burst,
-       config.merge_windows, config.pipeline_depth, config.metrics});
+      {config.jobs, config.seed, config.pps, config.burst, config.metrics});
   fleet.run_streaming(
       config.routes,
       [&](orchestrator::WorkerContext& context) {
@@ -95,8 +86,8 @@ IpSurveyResult run_ip_survey(const IpSurveyConfig& config,
         return trace_route_task(feeder.route(i), config.algorithm,
                                 config.trace, config.sim,
                                 ip_trace_seed(config.seed, i),
-                                context.limiter, context.hub,
-                                /*tenant_limiter=*/nullptr, config.cancel);
+                                context.limiter, /*tenant_limiter=*/nullptr,
+                                config.cancel);
       },
       [&](std::size_t i, core::TraceResult& trace) {
         if (sink) {

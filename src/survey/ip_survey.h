@@ -13,7 +13,7 @@
 #include <cstdint>
 
 #include "core/validation.h"
-#include "orchestrator/fleet_transport.h"
+#include "obs/metrics.h"
 #include "orchestrator/rate_limiter.h"
 #include "orchestrator/result_sink.h"
 #include "probe/cancel.h"
@@ -36,18 +36,11 @@ struct IpSurveyConfig {
   /// Fleet-wide probe rate limit in packets/second; <= 0 = unlimited.
   double pps = 0.0;
   int burst = 64;
-  /// Merge concurrent traces' probe windows into shared fleet bursts
-  /// (FleetTransportHub). Output is invariant — only wall-clock and the
-  /// wire's burst composition change.
-  bool merge_windows = false;
-  /// Merged bursts that may be in flight at once (1 = strict
-  /// resolve-before-next-burst); output is invariant for every depth.
-  int pipeline_depth = 1;
   /// Cooperative cancellation (SIGINT plumbing): when the token fires,
   /// in-flight tickets are canceled and run_ip_survey throws
   /// probe::CanceledError. nullptr = not cancelable.
   probe::CancelToken* cancel = nullptr;
-  /// Registry the fleet's hub/limiter and the survey's sim-probe counter
+  /// Registry the fleet's limiter and the survey's sim-probe counter
   /// register in; null = uninstrumented. Must outlive the run.
   obs::MetricsRegistry* metrics = nullptr;
 };
@@ -80,15 +73,13 @@ struct IpSurveyResult {
 }
 
 /// Trace one generated route as a fleet task: plain core::run_trace when
-/// undecorated, a ThrottledNetwork stack charging `limiter`, or — when
-/// `hub` is non-null — a FleetTransportHub channel whose windows merge
-/// into shared fleet bursts (the hub then owns the limiter charge).
+/// undecorated, else a ThrottledNetwork stack charging `limiter`.
 /// Shared by the survey, the mmlpt_fleet CLI and the mmlptd daemon so
 /// the decoration path (and its determinism guarantees) live in one
 /// place. Two optional daemon-facing layers stack OUTSIDE the fleet
 /// decorations: `tenant_limiter` charges a per-tenant token bucket per
 /// submitted probe (on top of — never instead of — the fleet-wide
-/// limiter or hub charge), and `cancel` wraps the whole stack in a
+/// limiter charge), and `cancel` wraps the whole stack in a
 /// probe::CancellableNetwork, so a fired token resolves the trace's
 /// in-flight tickets through TransportQueue::cancel and unwinds as
 /// probe::CanceledError. Both default off and change no output byte.
@@ -96,7 +87,6 @@ struct IpSurveyResult {
     const topo::GroundTruth& route, core::Algorithm algorithm,
     const core::TraceConfig& trace, const fakeroute::SimConfig& sim,
     std::uint64_t seed, orchestrator::RateLimiter* limiter,
-    orchestrator::FleetTransportHub* hub = nullptr,
     orchestrator::RateLimiter* tenant_limiter = nullptr,
     probe::CancelToken* cancel = nullptr);
 

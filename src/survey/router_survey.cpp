@@ -1,7 +1,6 @@
 #include "survey/router_survey.h"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <set>
 #include <vector>
@@ -178,8 +177,7 @@ RouterSurveyResult run_router_survey(const RouterSurveyConfig& config,
                                     {{"transport", "sim"}})
           : nullptr;
   orchestrator::FleetScheduler fleet(
-      {config.jobs, config.seed, config.pps, config.burst,
-       config.merge_windows, config.pipeline_depth, config.metrics});
+      {config.jobs, config.seed, config.pps, config.burst, config.metrics});
   const std::uint64_t base_seed = config.seed * 0x2545F491ULL + 99;
   fleet.run_streaming(
       config.routes,
@@ -189,14 +187,8 @@ RouterSurveyResult run_router_survey(const RouterSurveyConfig& config,
                                        base_seed + context.task_index);
         probe::SimulatedNetwork network(simulator);
         std::optional<orchestrator::ThrottledNetwork> throttled;
-        std::unique_ptr<orchestrator::FleetTransportHub::Channel> channel;
-        probe::TransportQueue* transport = &network;
-        if (context.hub) {
-          // Merged: windows join the fleet bursts; the hub pays the
-          // limiter per burst.
-          channel = context.hub->open_channel(network);
-          transport = channel.get();
-        } else if (context.limiter) {
+        probe::Network* transport = &network;
+        if (context.limiter) {
           throttled.emplace(network, *context.limiter);
           transport = &*throttled;
         }
@@ -204,11 +196,7 @@ RouterSurveyResult run_router_survey(const RouterSurveyConfig& config,
         if (config.cancel) {
           // Outermost: a fired token stops new probes before they are
           // billed and resolves in-flight tickets through the stack.
-          probe::Network* outer =
-              channel ? static_cast<probe::Network*>(channel.get())
-                      : throttled ? static_cast<probe::Network*>(&*throttled)
-                                  : &network;
-          cancellable.emplace(*outer, *config.cancel);
+          cancellable.emplace(*transport, *config.cancel);
           transport = &*cancellable;
         }
         probe::ProbeEngine::Config engine_config;

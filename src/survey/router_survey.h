@@ -42,16 +42,11 @@ struct RouterSurveyConfig {
   /// Fleet-wide probe rate limit in packets/second; <= 0 = unlimited.
   double pps = 0.0;
   int burst = 64;
-  /// Merge concurrent traces' probe windows into shared fleet bursts.
-  bool merge_windows = false;
-  /// Merged bursts that may be in flight at once (1 = strict
-  /// resolve-before-next-burst); output is invariant for every depth.
-  int pipeline_depth = 1;
   /// Cooperative cancellation (SIGINT plumbing): when the token fires,
   /// in-flight tickets are canceled and run_router_survey throws
   /// probe::CanceledError. nullptr = not cancelable.
   probe::CancelToken* cancel = nullptr;
-  /// Registry the fleet's hub/limiter and the survey's sim-probe counter
+  /// Registry the fleet's limiter and the survey's sim-probe counter
   /// register in; null = uninstrumented. Must outlive the run.
   obs::MetricsRegistry* metrics = nullptr;
 };

@@ -65,6 +65,13 @@ TEST(Flags, Has) {
   EXPECT_FALSE(f.has("y"));
 }
 
+TEST(Flags, NamesListsEveryFlagGivenOnce) {
+  const auto f = make_flags({"--seed=7", "--jobs", "2", "pos", "--fsync",
+                             "-6", "--jobs", "3"});
+  EXPECT_EQ(f.names(),
+            (std::vector<std::string>{"family", "fsync", "jobs", "seed"}));
+}
+
 TEST(Flags, FamilySwitchMapsToFamilyFlag) {
   EXPECT_EQ(make_flags({"-6"}).get("family", "4"), "6");
   EXPECT_EQ(make_flags({"-4"}).get("family", "6"), "4");

@@ -1,21 +1,15 @@
 // Decorator composition on the completion-queue seam: ThrottledNetwork
 // over a TransportQueue must charge EXACTLY one limiter token per
 // submitted probe, no matter how submissions and completions interleave
-// across tickets — and the same exactness must survive end-to-end when
-// the FleetTransportHub merges many traces' windows into shared bursts.
+// across tickets.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "common/rng.h"
-#include "core/validation.h"
-#include "orchestrator/fleet.h"
 #include "orchestrator/rate_limiter.h"
 #include "orchestrator/throttled_network.h"
 #include "probe/network.h"
-#include "probe/simulated_network.h"
-#include "survey/ip_survey.h"
-#include "topology/generator.h"
 
 namespace mmlpt::orchestrator {
 namespace {
@@ -78,35 +72,6 @@ TEST(ThrottledQueue, EmptyWindowCostsNothing) {
   const std::vector<probe::Datagram> empty;
   throttled.submit(empty, 1);
   EXPECT_EQ(limiter.granted(), 0u);
-}
-
-TEST(ThrottledQueue, MergedFleetChargesMatchWireProbesExactly) {
-  // End-to-end composition: a merged fleet (hub owns the limiter, one
-  // acquire per burst) over real traces. Whatever way the scheduler
-  // interleaved the workers' windows into bursts, tokens == wire probes.
-  topo::GeneratorConfig generator;
-  topo::SurveyWorld world(generator, 12, 9);
-  std::vector<topo::GroundTruth> routes;
-  for (int i = 0; i < 6; ++i) routes.push_back(world.next_route());
-
-  // pps high enough to never stall the test, low enough to be "on".
-  FleetScheduler fleet({/*jobs=*/3, /*seed=*/1, /*pps=*/1e8, /*burst=*/256,
-                        /*merge_windows=*/true});
-  ASSERT_NE(fleet.hub(), nullptr);
-  ASSERT_NE(fleet.limiter(), nullptr);
-  core::TraceConfig trace_config;
-  trace_config.window = 4;
-  const auto traces = fleet.run(routes.size(), [&](WorkerContext& context) {
-    return survey::trace_route_task(routes[context.task_index],
-                                    core::Algorithm::kMdaLite, trace_config,
-                                    {}, 100 + context.task_index,
-                                    context.limiter, context.hub);
-  });
-  ASSERT_EQ(traces.size(), routes.size());
-
-  const auto stats = fleet.hub()->stats();
-  EXPECT_EQ(fleet.limiter()->granted(), stats.probes);
-  EXPECT_GT(stats.probes, 0u);
 }
 
 }  // namespace

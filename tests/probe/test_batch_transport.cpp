@@ -1,6 +1,6 @@
 // The batched transport contract: Network::transact_batch's default
-// serial fallback, the SimulatedNetwork override, the ThrottledNetwork /
-// BlockingLatencyNetwork decorators, and ProbeEngine::probe_batch on top.
+// serial fallback, the SimulatedNetwork override, the ThrottledNetwork
+// decorator, and ProbeEngine::probe_batch on top.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -9,7 +9,6 @@
 
 #include "core/validation.h"
 #include "fakeroute/simulator.h"
-#include "orchestrator/latency_network.h"
 #include "orchestrator/rate_limiter.h"
 #include "orchestrator/throttled_network.h"
 #include "probe/engine.h"
@@ -266,24 +265,6 @@ TEST(ThrottledNetwork, ThrottledTraceIsBitIdenticalToUnthrottled) {
 
   EXPECT_EQ(gated.packets, plain.packets);
   EXPECT_TRUE(topo::same_topology(gated.graph, plain.graph));
-}
-
-TEST(BlockingLatencyNetwork, PassesRepliesThroughUnchanged) {
-  const auto truth = core::plain_ground_truth(topo::simplest_diamond());
-  const auto plain = core::run_trace(truth, core::Algorithm::kMdaLite, {}, {},
-                                     7);
-
-  fakeroute::Simulator simulator(truth, {}, 7);
-  SimulatedNetwork network(simulator);
-  orchestrator::BlockingLatencyNetwork::Config config;
-  config.scale = 1e-7;  // sleep ~0: the test only checks transparency
-  orchestrator::BlockingLatencyNetwork blocking(network, config);
-  const auto slowed = core::run_trace_with_network(
-      blocking, truth.source, truth.destination, core::Algorithm::kMdaLite,
-      {});
-
-  EXPECT_EQ(slowed.packets, plain.packets);
-  EXPECT_TRUE(topo::same_topology(slowed.graph, plain.graph));
 }
 
 }  // namespace

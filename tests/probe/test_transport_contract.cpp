@@ -326,7 +326,7 @@ TEST_P(TransportContract, DuplicateProbesResolveDistinctSlots) {
   EXPECT_EQ(completions.size(), 2u);
 }
 
-TEST_P(TransportContract, PollSurvivesEintrStorm) {
+TEST_P(TransportContract, PollSurvivesEintrStormWithoutWedging) {
   setup(/*blackhole=*/true);
   auto& network = harness_->network();
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "common/rng.h"
 #include "core/stopping_points.h"
@@ -125,11 +126,19 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------
 // Reach probabilities sum to 1 per hop and serialization round-trips on
 // every reference topology.
-class ReferenceTopology
-    : public ::testing::TestWithParam<topo::MultipathGraph (*)()> {};
+struct NamedTopology {
+  const char* name;
+  topo::MultipathGraph (*make)();
+};
+
+// Print the name, not the function's address: the printed value becomes
+// part of the discovered test ID, which must not change from run to run.
+void PrintTo(const NamedTopology& t, std::ostream* os) { *os << t.name; }
+
+class ReferenceTopology : public ::testing::TestWithParam<NamedTopology> {};
 
 TEST_P(ReferenceTopology, ProbabilitiesPartitionUnity) {
-  const auto g = GetParam()();
+  const auto g = GetParam().make();
   const auto p = g.reach_probabilities();
   for (std::uint16_t h = 0; h < g.hop_count(); ++h) {
     double sum = 0.0;
@@ -139,16 +148,16 @@ TEST_P(ReferenceTopology, ProbabilitiesPartitionUnity) {
 }
 
 TEST_P(ReferenceTopology, SerializationRoundTrips) {
-  const auto g = GetParam()();
+  const auto g = GetParam().make();
   EXPECT_TRUE(topo::same_topology(g, topo::deserialize(topo::serialize(g))));
 }
 
 TEST_P(ReferenceTopology, MdaDiscoversEverythingAtTightBound) {
-  const auto g = GetParam()();
+  const auto g = GetParam().make();
   core::TraceConfig config;
   config.alpha = 0.01;
   config.max_branching = 60;
-  const auto truth = core::plain_ground_truth(GetParam()());
+  const auto truth = core::plain_ground_truth(GetParam().make());
   const auto result = core::run_trace(truth, core::Algorithm::kMda, config,
                                       {}, 12345);
   EXPECT_TRUE(topo::same_topology(result.graph, g));
@@ -156,10 +165,15 @@ TEST_P(ReferenceTopology, MdaDiscoversEverythingAtTightBound) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ReferenceTopology,
-    ::testing::Values(&topo::simplest_diamond, &topo::fig1_unmeshed,
-                      &topo::fig1_meshed, &topo::max_length_2_diamond,
-                      &topo::symmetric_diamond, &topo::asymmetric_diamond,
-                      &topo::fig6_left, &topo::fig6_right));
+    ::testing::Values(
+        NamedTopology{"simplest_diamond", &topo::simplest_diamond},
+        NamedTopology{"fig1_unmeshed", &topo::fig1_unmeshed},
+        NamedTopology{"fig1_meshed", &topo::fig1_meshed},
+        NamedTopology{"max_length_2_diamond", &topo::max_length_2_diamond},
+        NamedTopology{"symmetric_diamond", &topo::symmetric_diamond},
+        NamedTopology{"asymmetric_diamond", &topo::asymmetric_diamond},
+        NamedTopology{"fig6_left", &topo::fig6_left},
+        NamedTopology{"fig6_right", &topo::fig6_right}));
 
 // ---------------------------------------------------------------------
 // Eq. (1): the analytic meshing-miss probability matches a Monte Carlo

@@ -36,12 +36,13 @@ void write_file(const std::string& path, const std::string& data) {
 }
 
 TopologySnapshot sample_snapshot() {
+  // Built from initializer lists: GCC 12 at -O3 reports a false
+  // -Wstringop-overflow on the growth path of repeated push_backs.
   TopologySnapshot snapshot;
-  snapshot.hops.push_back({net::IpAddress(10, 0, 0, 1), 1});
-  snapshot.hops.push_back({net::IpAddress(10, 0, 0, 2), 2});
-  snapshot.hops.push_back(
-      {net::IpAddress::v6(0x20010db8'00000000ULL, 7), 3});
-  snapshot.destinations.push_back({net::IpAddress(10, 9, 9, 9), {12, 345}});
+  snapshot.hops = {{net::IpAddress(10, 0, 0, 1), 1},
+                   {net::IpAddress(10, 0, 0, 2), 2},
+                   {net::IpAddress::v6(0x20010db8'00000000ULL, 7), 3}};
+  snapshot.destinations = {{net::IpAddress(10, 9, 9, 9), {12, 345}}};
   return snapshot;
 }
 

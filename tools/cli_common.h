@@ -1,15 +1,17 @@
 // Helpers shared by the mmlpt_* CLIs: --version output (git describe +
 // build type injected by tools/CMakeLists.txt), address-family flag
 // parsing (--family 4|6|ipv4|ipv6, or the traceroute-style bare "-6"),
-// and the fleet/window flag block (--window/--jobs/--pps/--burst/
-// --merge-windows/--fsync) that mmlpt_trace, mmlpt_survey and
-// mmlpt_fleet all share — declared and validated here exactly once.
+// the fleet/window flag block (--window/--jobs/--pps/--burst/--fsync)
+// that mmlpt_trace, mmlpt_survey and mmlpt_fleet all share — declared
+// and validated here exactly once — and the unknown-flag check that
+// derives each tool's accepted flags from its usage text.
 #ifndef MMLPT_TOOLS_CLI_COMMON_H
 #define MMLPT_TOOLS_CLI_COMMON_H
 
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
 #include <string_view>
@@ -90,10 +92,10 @@ inline int parse_window(const Flags& flags) {
 }
 
 /// --transport auto|poll|uring (default auto): the real-network backend
-/// shared by every CLI that can touch the wire. `auto` resolves through
-/// the kernel capability probe (see probe/transport_select.h); the
-/// resolved choice is echoed in each tool's status/summary output so
-/// scripts can tell which backend actually ran.
+/// of mmlpt_trace --real, the one CLI that can touch the wire. `auto`
+/// resolves through the kernel capability probe (see
+/// probe/transport_select.h); the resolved choice is echoed in the
+/// summary so scripts can tell which backend actually ran.
 inline probe::TransportKind parse_transport(const Flags& flags) {
   const std::string name = flags.get("transport", "auto");
   const auto kind = probe::parse_transport_name(name);
@@ -102,15 +104,6 @@ inline probe::TransportKind parse_transport(const Flags& flags) {
                       "' (auto|poll|uring)");
   }
   return *kind;
-}
-
-/// --pipeline-depth N, N >= 1: merged fleet bursts that may be in flight
-/// at once (only meaningful with --merge-windows; 1 = the strict
-/// resolve-before-next-burst discipline).
-inline int parse_pipeline_depth(const Flags& flags) {
-  const auto depth = static_cast<int>(flags.get_int("pipeline-depth", 1));
-  if (depth < 1) throw ConfigError("--pipeline-depth must be >= 1");
-  return depth;
 }
 
 /// The Doubletree stop-set flag pair shared by every tracing CLI.
@@ -282,16 +275,15 @@ class SummaryLine {
   JsonWriter w_;
 };
 
-/// The fleet flag block shared by mmlpt_survey and mmlpt_fleet. Every
-/// field is validated here so the three CLIs cannot drift apart.
+/// The fleet flag block shared by mmlpt_survey, mmlpt_fleet and mmlptd.
+/// Every field is validated here so the three CLIs cannot drift apart.
+/// These tools probe only the Fakeroute simulator, so the block has no
+/// transport choice.
 struct FleetOptions {
   int jobs = 1;
   double pps = 0.0;
   int burst = 64;
   int window = 1;
-  bool merge_windows = false;
-  int pipeline_depth = 1;
-  probe::TransportKind transport = probe::TransportKind::kAuto;
   StopSetOptions stop_set;
 };
 
@@ -304,9 +296,6 @@ inline FleetOptions parse_fleet_options(const Flags& flags) {
   options.burst = static_cast<int>(flags.get_int("burst", 64));
   if (options.burst < 1) throw ConfigError("--burst must be >= 1");
   options.window = parse_window(flags);
-  options.merge_windows = flags.get_bool("merge-windows", false);
-  options.pipeline_depth = parse_pipeline_depth(flags);
-  options.transport = parse_transport(flags);
   options.stop_set = parse_stop_set_options(flags);
   return options;
 }
@@ -338,7 +327,7 @@ inline daemon::FleetJobSpec parse_job_spec(const Flags& flags) {
 }
 
 /// The mmlptd admission/daemon flag block. The fleet block
-/// (--jobs/--pps/--burst/--merge-windows) and the stop-set pair are
+/// (--jobs/--pps/--burst) and the stop-set pair are
 /// parsed separately with the shared helpers above.
 struct DaemonCliOptions {
   std::string socket;
@@ -415,8 +404,7 @@ inline std::string format_option_block(std::span<const OptionSpec> options) {
   return out;
 }
 
-/// The fleet flag block (--jobs/--window/--pps/--burst/--merge-windows/
-/// --fsync).
+/// The fleet flag block (--jobs/--window/--pps/--burst/--fsync).
 inline std::span<const OptionSpec> fleet_option_table() {
   static const OptionSpec table[] = {
       {"--jobs N",
@@ -432,25 +420,6 @@ inline std::span<const OptionSpec> fleet_option_table() {
        "fleet-wide probe rate limit, packets/second\n"
        "(default unlimited)"},
       {"--burst N", "rate-limiter burst capacity (default 64)"},
-      {"--merge-windows",
-       "merge concurrent traces' committed windows\n"
-       "into shared fleet send bursts (one burst\n"
-       "serves N tracers; one rate-limiter charge per\n"
-       "burst). Output stays byte-identical to the\n"
-       "unmerged run"},
-      {"--pipeline-depth N",
-       "merged bursts that may be in flight at once\n"
-       "(default 1 = resolve before the next burst;\n"
-       "higher overlaps a new burst with the previous\n"
-       "burst's stragglers; output stays byte-identical\n"
-       "for every N). Needs --merge-windows"},
-      {"--transport T",
-       "real-network backend: auto | poll | uring\n"
-       "(default auto = io_uring when the kernel\n"
-       "supports it, else the poll()-driven raw-socket\n"
-       "loop). Explicit uring on a kernel without\n"
-       "io_uring is an error; the resolved choice is\n"
-       "echoed in the summary"},
       {"--fsync",
        "with --output: fsync after every destination\n"
        "line, so a crash never loses committed\n"
@@ -483,7 +452,7 @@ inline std::span<const OptionSpec> obs_option_table() {
   static const OptionSpec table[] = {
       {"--metrics-out F",
        "write the run's Prometheus-text metrics\n"
-       "(transport, rate limiter, hub, stop set) to F\n"
+       "(transport, rate limiter, stop set) to F\n"
        "at exit. Primary output is unchanged"},
       {"--trace-events F",
        "record window/burst spans and per-hop RTT\n"
@@ -594,6 +563,58 @@ inline std::string daemon_options_usage() {
 /// Usage text for the client connection flag block (mmlpt_client).
 inline std::string client_options_usage() {
   return format_option_block(client_option_table());
+}
+
+// ---- unknown-flag rejection --------------------------------------------
+//
+// A tool's accepted flags are the ones its usage text documents, so a
+// removed or misspelt flag fails loudly instead of being ignored, and a
+// flag cannot be accepted without being documented.
+
+/// Exit status for a command line naming a flag the tool does not take.
+inline constexpr int kUsageErrorExit = 2;
+
+/// The long flag names `usage` documents: the flag column of every
+/// option row — a line indented by exactly two spaces whose text starts
+/// with '-' — up to the first double space. Example command lines and
+/// prose cross-references do not count.
+inline std::set<std::string> usage_flag_names(std::string_view usage) {
+  std::set<std::string> names;
+  while (!usage.empty()) {
+    const auto newline = usage.find('\n');
+    std::string_view line = usage.substr(0, newline);
+    usage.remove_prefix(newline == std::string_view::npos ? usage.size()
+                                                          : newline + 1);
+    if (!line.starts_with("  -")) continue;
+    line.remove_prefix(2);
+    line = line.substr(0, line.find("  "));
+    for (auto at = line.find("--"); at != std::string_view::npos;
+         at = line.find("--", at)) {
+      at += 2;
+      const auto end =
+          line.find_first_not_of("abcdefghijklmnopqrstuvwxyz0123456789-", at);
+      names.emplace(line.substr(at, end - at));
+      at = end;
+    }
+  }
+  return names;
+}
+
+/// When the command line names a flag `usage` does not document (--help
+/// is always accepted), print "<tool>: unknown flag --x" per such flag
+/// and then the usage to stderr, and return true; the caller then exits
+/// with kUsageErrorExit.
+inline bool reject_unknown_flags(const Flags& flags, const std::string& usage,
+                                 const char* tool) {
+  const auto known = usage_flag_names(usage);
+  bool rejected = false;
+  for (const auto& name : flags.names()) {
+    if (name == "help" || known.contains(name)) continue;
+    std::fprintf(stderr, "%s: unknown flag --%s\n", tool, name.c_str());
+    rejected = true;
+  }
+  if (rejected) std::fprintf(stderr, "\n%s", usage.c_str());
+  return rejected;
 }
 
 }  // namespace mmlpt::tools

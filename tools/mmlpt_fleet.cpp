@@ -41,7 +41,7 @@ constexpr const char kUsagePrefix[] =
     "\n"
     "  mmlpt_fleet --routes 64 --jobs 8                 # 8-worker fleet\n"
     "  mmlpt_fleet --destinations dests.txt --jobs 8 --pps 500 \\\n"
-    "              --merge-windows --output traces.jsonl --fsync\n"
+    "              --output traces.jsonl --fsync\n"
     "\n"
     "Traces N destinations concurrently over the Fakeroute simulator and\n"
     "streams one JSON line per destination, in destination order:\n"
@@ -73,10 +73,8 @@ constexpr const char kUsageSuffix[] =
     "The stop_set object appears with --topology-cache; the metrics\n"
     "object lists the run's non-zero counters from the registry.\n";
 
-void print_usage() {
-  std::fputs(kUsagePrefix, stdout);
-  std::fputs(tools::fleet_options_usage().c_str(), stdout);
-  std::fputs(kUsageSuffix, stdout);
+std::string usage_text() {
+  return kUsagePrefix + tools::fleet_options_usage() + kUsageSuffix;
 }
 
 int run_fleet(const Flags& flags) {
@@ -88,8 +86,6 @@ int run_fleet(const Flags& flags) {
   fleet_config.seed = spec.seed;
   fleet_config.pps = fleet_options.pps;
   fleet_config.burst = fleet_options.burst;
-  fleet_config.merge_windows = fleet_options.merge_windows;
-  fleet_config.pipeline_depth = fleet_options.pipeline_depth;
 
   const bool fsync_lines = flags.get_bool("fsync", false);
   if (fsync_lines && !flags.has("output")) {
@@ -177,11 +173,7 @@ int run_fleet(const Flags& flags) {
                  ? static_cast<double>(counters.packets) / elapsed.count()
                  : 0.0)
       .field("jobs", static_cast<std::int64_t>(fleet_config.jobs))
-      .field("transport",
-             std::string(
-                 probe::resolved_transport_name(fleet_options.transport)))
-      .field("pipeline_depth",
-             static_cast<std::int64_t>(fleet_config.pipeline_depth))
+      .field("transport", "sim")
       .stop_set(stop_set_session, counters.probes_saved_by_stop_set,
                 counters.traces_stopped)
       .metrics(obs.registry())
@@ -196,9 +188,13 @@ int run_fleet(const Flags& flags) {
 int main(int argc, char** argv) {
   try {
     const Flags flags(argc, argv);
+    const auto usage = usage_text();
     if (flags.has("help")) {
-      print_usage();
+      std::fputs(usage.c_str(), stdout);
       return 0;
+    }
+    if (tools::reject_unknown_flags(flags, usage, "mmlpt_fleet")) {
+      return tools::kUsageErrorExit;
     }
     if (tools::handle_version(flags, "mmlpt_fleet")) return 0;
     return run_fleet(flags);

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "cli_common.h"
 #include "common/error.h"
@@ -49,9 +50,8 @@ constexpr const char kUsagePrefix[] =
     "\n"
     "fleet options (ip/router modes):\n";
 
-void print_usage() {
-  std::fputs(kUsagePrefix, stdout);
-  std::fputs(tools::fleet_options_usage().c_str(), stdout);
+std::string usage_text() {
+  return kUsagePrefix + tools::fleet_options_usage();
 }
 
 void emit_histogram(JsonWriter& w, const Histogram& h) {
@@ -152,8 +152,6 @@ int run_ip(const Flags& flags, JsonWriter& w) {
   config.jobs = fleet_options.jobs;
   config.pps = fleet_options.pps;
   config.burst = fleet_options.burst;
-  config.merge_windows = fleet_options.merge_windows;
-  config.pipeline_depth = fleet_options.pipeline_depth;
   config.trace.window = fleet_options.window;
   orchestrator::StopSetSession stop_set_session(
       fleet_options.stop_set.topology_cache, fleet_options.stop_set.consult);
@@ -175,9 +173,7 @@ int run_ip(const Flags& flags, JsonWriter& w) {
   stop_set_session.flush();
   tools::SummaryLine("mmlpt_survey")
       .field("mode", "ip_survey")
-      .field("transport",
-             std::string(
-                 probe::resolved_transport_name(fleet_options.transport)))
+      .field("transport", "sim")
       .field("routes", result.routes_traced)
       .field("packets", result.total_packets)
       .stop_set(stop_set_session, result.probes_saved_by_stop_set,
@@ -190,10 +186,7 @@ int run_ip(const Flags& flags, JsonWriter& w) {
   w.key("mode");
   w.value("ip_survey");
   w.key("transport");
-  w.value(std::string(
-      probe::resolved_transport_name(fleet_options.transport)));
-  w.key("pipeline_depth");
-  w.value(static_cast<std::int64_t>(config.pipeline_depth));
+  w.value("sim");
   w.key("routes");
   w.value(result.routes_traced);
   w.key("routes_with_diamonds");
@@ -233,8 +226,7 @@ int run_evaluation(const Flags& flags, JsonWriter& w) {
   // it is not fleet-wired (yet), so say so instead of silently ignoring
   // the fleet flags.
   for (const char* flag :
-       {"jobs", "pps", "burst", "output", "window", "family",
-        "merge-windows", "pipeline-depth", "transport", "fsync",
+       {"jobs", "pps", "burst", "output", "window", "family", "fsync",
         "stop-set", "topology-cache", "metrics-out", "trace-events"}) {
     if (flags.has(flag)) {
       std::fprintf(stderr,
@@ -284,8 +276,6 @@ int run_router(const Flags& flags, JsonWriter& w) {
   config.jobs = fleet_options.jobs;
   config.pps = fleet_options.pps;
   config.burst = fleet_options.burst;
-  config.merge_windows = fleet_options.merge_windows;
-  config.pipeline_depth = fleet_options.pipeline_depth;
   config.multilevel.trace.window = fleet_options.window;
   orchestrator::StopSetSession stop_set_session(
       fleet_options.stop_set.topology_cache, fleet_options.stop_set.consult);
@@ -308,9 +298,7 @@ int run_router(const Flags& flags, JsonWriter& w) {
   stop_set_session.flush();
   tools::SummaryLine("mmlpt_survey")
       .field("mode", "router_survey")
-      .field("transport",
-             std::string(
-                 probe::resolved_transport_name(fleet_options.transport)))
+      .field("transport", "sim")
       .field("routes", result.routes_traced)
       .field("packets", result.total_packets)
       .stop_set(stop_set_session, result.probes_saved_by_stop_set,
@@ -323,10 +311,7 @@ int run_router(const Flags& flags, JsonWriter& w) {
   w.key("mode");
   w.value("router_survey");
   w.key("transport");
-  w.value(std::string(
-      probe::resolved_transport_name(fleet_options.transport)));
-  w.key("pipeline_depth");
-  w.value(static_cast<std::int64_t>(config.pipeline_depth));
+  w.value("sim");
   w.key("routes");
   w.value(result.routes_traced);
   w.key("unique_diamonds");
@@ -359,9 +344,13 @@ int run_router(const Flags& flags, JsonWriter& w) {
 int main(int argc, char** argv) {
   try {
     const Flags flags(argc, argv);
+    const auto usage = usage_text();
     if (flags.has("help")) {
-      print_usage();
+      std::fputs(usage.c_str(), stdout);
       return 0;
+    }
+    if (tools::reject_unknown_flags(flags, usage, "mmlpt_survey")) {
+      return tools::kUsageErrorExit;
     }
     if (tools::handle_version(flags, "mmlpt_survey")) return 0;
     const auto mode = flags.get("mode", "ip");

@@ -1,15 +1,16 @@
 // mmlptd — the measurement daemon. One privileged process owns the
-// probing stack (fleet scheduler, fleet-wide rate limiter, window-merge
-// hub, Doubletree stop set) and serves trace jobs to many cheap
-// unprivileged clients over a framed unix-socket protocol. Clients get
-// byte-identical JSONL to a standalone `mmlpt_fleet --jobs 1` run with
-// the same job flags; the daemon adds admission control, per-tenant rate
-// limits and mid-trace cancellation on top.
+// probing stack (fleet scheduler, fleet-wide rate limiter, Doubletree
+// stop set) and serves trace jobs to many cheap unprivileged clients over
+// a framed unix-socket protocol; jobs probe the Fakeroute simulator.
+// Clients get byte-identical JSONL to a standalone `mmlpt_fleet --jobs 1`
+// run with the same job flags; the daemon adds admission control,
+// per-tenant rate limits and mid-trace cancellation on top.
 //
 // SIGINT/SIGTERM drain-and-exit: stop accepting, let running jobs
 // finish, flush the stop set, exit 0.
 #include <cerrno>
 #include <cstdio>
+#include <string>
 
 #include <poll.h>
 
@@ -39,18 +40,15 @@ constexpr const char kUsagePrefix[] =
 constexpr const char kUsageSuffix[] =
     "  --version            print version and exit\n"
     "\n"
-    "The fleet flags (--jobs/--pps/--burst/--merge-windows) shape the\n"
-    "SHARED scheduler: --pps bounds the sum of all tenants' probe\n"
-    "traffic. --topology-cache/--stop-set install one shared stop set;\n"
+    "The fleet flags (--jobs/--pps/--burst) shape the SHARED scheduler:\n"
+    "--pps bounds the sum of all tenants' probe traffic.\n"
+    "--topology-cache/--stop-set install one shared stop set;\n"
     "discoveries are flushed to the store at shutdown.\n";
 
-void print_usage() {
-  std::fputs(kUsagePrefix, stdout);
-  std::fputs(tools::daemon_options_usage().c_str(), stdout);
-  std::fputs(tools::format_option_block(tools::fleet_option_table()).c_str(),
-             stdout);
-  std::fputs(tools::stop_set_options_usage().c_str(), stdout);
-  std::fputs(kUsageSuffix, stdout);
+std::string usage_text() {
+  return kUsagePrefix + tools::daemon_options_usage() +
+         tools::format_option_block(tools::fleet_option_table()) +
+         tools::stop_set_options_usage() + kUsageSuffix;
 }
 
 int run_daemon(const Flags& flags) {
@@ -62,9 +60,6 @@ int run_daemon(const Flags& flags) {
   config.fleet.jobs = fleet_options.jobs;
   config.fleet.pps = fleet_options.pps;
   config.fleet.burst = fleet_options.burst;
-  config.fleet.merge_windows = fleet_options.merge_windows;
-  config.fleet.pipeline_depth = fleet_options.pipeline_depth;
-  config.transport = fleet_options.transport;
   config.admission = options.admission;
   config.topology_cache = fleet_options.stop_set.topology_cache;
   config.consult_stop_set = fleet_options.stop_set.consult;
@@ -78,14 +73,10 @@ int run_daemon(const Flags& flags) {
   daemon.start();
   std::fprintf(stderr,
                "mmlptd: listening on %s (workers=%d, pps=%.0f, "
-               "max_jobs=%d, max_jobs_per_tenant=%d, transport=%s, "
-               "pipeline_depth=%d)\n",
+               "max_jobs=%d, max_jobs_per_tenant=%d, transport=sim)\n",
                config.socket_path.c_str(), config.fleet.jobs,
                config.fleet.pps, config.admission.max_jobs_total,
-               config.admission.max_jobs_per_tenant,
-               std::string(probe::resolved_transport_name(config.transport))
-                   .c_str(),
-               config.fleet.pipeline_depth);
+               config.admission.max_jobs_per_tenant);
 
   struct pollfd signal_fd = {shutdown.fd(), POLLIN, 0};
   while (::poll(&signal_fd, 1, -1) < 0 && errno == EINTR) {
@@ -101,9 +92,13 @@ int run_daemon(const Flags& flags) {
 int main(int argc, char** argv) {
   try {
     const Flags flags(argc, argv);
+    const auto usage = usage_text();
     if (flags.has("help")) {
-      print_usage();
+      std::fputs(usage.c_str(), stdout);
       return 0;
+    }
+    if (tools::reject_unknown_flags(flags, usage, "mmlptd")) {
+      return tools::kUsageErrorExit;
     }
     if (tools::handle_version(flags, "mmlptd")) return 0;
     return run_daemon(flags);
