@@ -60,7 +60,8 @@ int main(int argc, char** argv) {
           flags.get("destination", "192.0.2.1"));
       const auto source = net::Ipv4Address::parse_or_throw(
           flags.get("source", "0.0.0.0"));
-      probe::RawSocketNetwork network({});
+      obs::MetricsRegistry registry;
+      probe::RawSocketNetwork network({}, registry);
       probe::ProbeEngine::Config config;
       config.source = source;
       config.destination = destination;

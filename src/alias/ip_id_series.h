@@ -8,7 +8,7 @@
 #include <span>
 #include <vector>
 
-#include "probe/network.h"
+#include "probe/transport_queue.h"
 
 namespace mmlpt::alias {
 

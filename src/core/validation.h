@@ -14,7 +14,7 @@
 #include "core/mda.h"
 #include "core/trace_log.h"
 #include "fakeroute/simulator.h"
-#include "probe/network.h"
+#include "probe/transport_queue.h"
 #include "topology/ground_truth.h"
 
 namespace mmlpt::core {

@@ -20,10 +20,9 @@
 //     frame and the CLIs write for --metrics-out.
 //
 // Instrument pointers are stable for the registry's lifetime; the
-// registry must outlive every component holding one. Components that
-// accept an optional registry fall back to a small privately-owned one,
-// so their counters always exist and a stats() accessor can stay a pure
-// view over the registry (exactly one source of truth per counter).
+// registry must outlive every component holding one. A component's
+// counters live only in the registry its caller hands it; readers (tests
+// included) look a series up by name and labels.
 #ifndef MMLPT_OBS_METRICS_H
 #define MMLPT_OBS_METRICS_H
 

@@ -15,8 +15,9 @@
 //     order: bit-for-bit the behaviour of the old serial loops.
 //
 // The shared RateLimiter (config.pps > 0) bounds the SUM of all workers'
-// probe traffic; workers wrap their transports in ThrottledNetwork
-// against limiter().
+// probe traffic; each task wraps its trace's transport in a
+// ThrottledNetwork charging WorkerContext::limiter
+// (survey::TraceTransport).
 //
 // Lifetime / re-entrancy: a FleetScheduler is NOT tied to a single run.
 // run() and run_streaming() keep every piece of mutable state local to
@@ -57,8 +58,7 @@ struct FleetConfig {
   /// Token-bucket burst capacity when pps > 0.
   int burst = 64;
   /// Registry the fleet's limiter registers its series in;
-  /// null = each component falls back to a private registry. Must
-  /// outlive the scheduler.
+  /// null = uninstrumented. Must outlive the scheduler.
   obs::MetricsRegistry* metrics = nullptr;
 };
 

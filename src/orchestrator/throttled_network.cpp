@@ -2,12 +2,6 @@
 
 namespace mmlpt::orchestrator {
 
-std::optional<probe::Received> ThrottledNetwork::transact(
-    std::span<const std::uint8_t> datagram, probe::Nanos now) {
-  limiter_->acquire(1);
-  return inner_->transact(datagram, now);
-}
-
 void ThrottledNetwork::submit(std::span<const probe::Datagram> window,
                               probe::Ticket ticket,
                               const probe::SubmitOptions& options) {

@@ -13,30 +13,27 @@
 #define MMLPT_ORCHESTRATOR_THROTTLED_NETWORK_H
 
 #include "orchestrator/rate_limiter.h"
-#include "probe/network.h"
+#include "probe/transport_queue.h"
 
 namespace mmlpt::orchestrator {
 
-class ThrottledNetwork final : public probe::Network {
+class ThrottledNetwork final : public probe::TransportQueue {
  public:
   /// Both the inner transport and the limiter must outlive this decorator.
-  ThrottledNetwork(probe::Network& inner, RateLimiter& limiter)
+  ThrottledNetwork(probe::TransportQueue& inner, RateLimiter& limiter)
       : inner_(&inner), limiter_(&limiter) {}
-
-  [[nodiscard]] std::optional<probe::Received> transact(
-      std::span<const std::uint8_t> datagram, probe::Nanos now) override;
 
   /// A window of N probes costs N tokens at submit, then ships as one
   /// inner submission; poll/cancel forward untouched.
   void submit(std::span<const probe::Datagram> window, probe::Ticket ticket,
               const probe::SubmitOptions& options) override;
-  using probe::Network::submit;
+  using probe::TransportQueue::submit;
   [[nodiscard]] std::vector<probe::Completion> poll_completions() override;
   void cancel(probe::Ticket ticket) override;
   [[nodiscard]] std::size_t pending() const override;
 
  private:
-  probe::Network* inner_;
+  probe::TransportQueue* inner_;
   RateLimiter* limiter_;
 };
 

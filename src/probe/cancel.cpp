@@ -2,12 +2,6 @@
 
 namespace mmlpt::probe {
 
-std::optional<Received> CancellableNetwork::transact(
-    std::span<const std::uint8_t> datagram, Nanos now) {
-  if (canceled()) throw CanceledError("trace canceled before send");
-  return inner_->transact(datagram, now);
-}
-
 void CancellableNetwork::submit(std::span<const Datagram> window,
                                 Ticket ticket, const SubmitOptions& options) {
   if (canceled()) throw CanceledError("trace canceled before submit");

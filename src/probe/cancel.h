@@ -21,7 +21,7 @@
 #include <unordered_map>
 
 #include "common/error.h"
-#include "probe/network.h"
+#include "probe/transport_queue.h"
 
 namespace mmlpt::probe {
 
@@ -52,20 +52,16 @@ class CancelToken {
 /// inner transport and the token must outlive the decorator. Like every
 /// queue, a CancellableNetwork is a single-trace, single-threaded object;
 /// only the token crosses threads.
-class CancellableNetwork final : public Network {
+class CancellableNetwork final : public TransportQueue {
  public:
-  CancellableNetwork(Network& inner, const CancelToken& token)
+  CancellableNetwork(TransportQueue& inner, const CancelToken& token)
       : inner_(&inner), token_(&token) {}
-
-  /// Throws CanceledError instead of sending once the token has fired.
-  [[nodiscard]] std::optional<Received> transact(
-      std::span<const std::uint8_t> datagram, Nanos now) override;
 
   /// Throws CanceledError before submitting once the token has fired
   /// (nothing was shipped, nothing needs cancelling).
   void submit(std::span<const Datagram> window, Ticket ticket,
               const SubmitOptions& options) override;
-  using Network::submit;
+  using TransportQueue::submit;
 
   /// Once the token has fired: cancel every in-flight ticket through the
   /// inner queue, drain the resulting completions so the backend is left
@@ -87,7 +83,7 @@ class CancellableNetwork final : public Network {
   /// pending. Then throws CanceledError.
   [[noreturn]] void abort_in_flight();
 
-  Network* inner_;
+  TransportQueue* inner_;
   const CancelToken* token_;
   /// Unresolved slots per in-flight ticket (erased when fully resolved).
   std::unordered_map<Ticket, std::size_t> in_flight_;

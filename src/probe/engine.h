@@ -1,5 +1,5 @@
 // The probing engine: crafts Paris-style UDP probes, ICMP(v6) echo probes
-// for direct probing, drives the Network transport, parses replies, and
+// for direct probing, drives the TransportQueue, parses replies, and
 // keeps the packet accounting every evaluation figure relies on.
 //
 // The engine is address-family generic. On IPv4 the Paris flow identifier

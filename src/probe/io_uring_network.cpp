@@ -1,6 +1,5 @@
 #include "probe/io_uring_network.h"
 
-#include "common/assert.h"
 #include "common/error.h"
 #include "probe/uring.h"
 
@@ -90,9 +89,7 @@ struct IoUringNetwork::TimeoutOp {
 
 bool IoUringNetwork::supported() noexcept { return uring::kernel_supported(); }
 
-void IoUringNetwork::register_metrics() {
-  obs::MetricsRegistry& registry =
-      config_.metrics != nullptr ? *config_.metrics : fallback_metrics_;
+void IoUringNetwork::register_metrics(obs::MetricsRegistry& registry) {
   const obs::Labels labels{{"transport", "uring"}};
   probes_sent_ =
       registry.counter("mmlpt_transport_probes_sent_total",
@@ -121,8 +118,9 @@ void IoUringNetwork::register_metrics() {
   attributor_.set_expiry_counter(deadline_expiries_);
 }
 
-IoUringNetwork::IoUringNetwork(Config config) : config_(config) {
-  register_metrics();
+IoUringNetwork::IoUringNetwork(Config config, obs::MetricsRegistry& metrics)
+    : config_(config) {
+  register_metrics(metrics);
   if (!uring::kernel_supported()) {
     throw SystemError("io_uring not supported by this kernel");
   }
@@ -450,9 +448,8 @@ void IoUringNetwork::handle_cqe(std::uint64_t user_data, std::int32_t res) {
       // Otherwise the op is stale: cancel()/reap_settled_timeouts()
       // already disowned it and its -ECANCELED CQE arrived late. The
       // ticket may have been reused by now (contract-legal once
-      // resolved — transact() reuses ticket 0 every call), so expiring
-      // here would kill the reused ticket's fresh slots; just drop the
-      // op storage.
+      // resolved), so expiring here would kill the reused ticket's fresh
+      // slots; just drop the op storage.
       timeouts_.erase(it);
       break;
     }
@@ -526,27 +523,6 @@ void IoUringNetwork::cancel(Ticket ticket) {
 
 std::size_t IoUringNetwork::pending() const { return attributor_.unresolved(); }
 
-std::optional<Received> IoUringNetwork::transact(
-    std::span<const std::uint8_t> datagram, Nanos /*now*/) {
-  // The serial path is the queue path with a one-slot window; it must
-  // not interleave with in-flight submissions (their completions would
-  // be misrouted).
-  MMLPT_EXPECTS(pending() == 0);
-  const Datagram window[] = {Datagram{{datagram.begin(), datagram.end()}, 0}};
-  submit(window, /*ticket=*/0);
-  std::optional<Received> reply;
-  std::size_t outstanding = 1;
-  while (outstanding > 0) {
-    auto completions = poll_completions();
-    MMLPT_ASSERT(!completions.empty());
-    for (auto& completion : completions) {
-      reply = std::move(completion.reply);
-      --outstanding;
-    }
-  }
-  return reply;
-}
-
 }  // namespace mmlpt::probe
 
 #else  // !MMLPT_HAS_IO_URING
@@ -562,7 +538,8 @@ struct IoUringNetwork::TimeoutOp {};
 
 bool IoUringNetwork::supported() noexcept { return false; }
 
-IoUringNetwork::IoUringNetwork(Config config) : config_(config) {
+IoUringNetwork::IoUringNetwork(Config config, obs::MetricsRegistry&)
+    : config_(config) {
   throw SystemError("io_uring is not available on this platform");
 }
 
@@ -580,11 +557,6 @@ std::vector<Completion> IoUringNetwork::poll_completions() {
 void IoUringNetwork::cancel(Ticket) {}
 
 std::size_t IoUringNetwork::pending() const { return 0; }
-
-std::optional<Received> IoUringNetwork::transact(
-    std::span<const std::uint8_t>, Nanos) {
-  throw SystemError("io_uring is not available on this platform");
-}
 
 void IoUringNetwork::arm_recv(std::uint64_t) {}
 void IoUringNetwork::drain_cqes() {}

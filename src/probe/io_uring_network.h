@@ -41,8 +41,8 @@
 #include "net/ip_address.h"
 #include "net/packet.h"
 #include "obs/metrics.h"
-#include "probe/network.h"
 #include "probe/reply_attribution.h"
+#include "probe/transport_queue.h"
 
 namespace mmlpt::probe {
 
@@ -50,7 +50,7 @@ namespace uring {
 class Ring;
 }  // namespace uring
 
-class IoUringNetwork final : public Network {
+class IoUringNetwork final : public TransportQueue {
  public:
   struct Config {
     std::chrono::milliseconds reply_timeout{1000};
@@ -62,49 +62,26 @@ class IoUringNetwork final : public Network {
     unsigned ring_entries = 256;
     /// RECVMSG ops kept armed on the receive socket.
     unsigned recv_slots = 8;
-    /// Registry the backend's counters live in (series labeled
-    /// transport="uring"). Null = a privately-owned registry, so the
-    /// counters always exist and stats() stays a pure view.
-    obs::MetricsRegistry* metrics = nullptr;
   };
 
   /// True when this kernel can host the backend (cached io_uring_setup
   /// probe). Constructing when false throws SystemError.
   [[nodiscard]] static bool supported() noexcept;
 
-  explicit IoUringNetwork(Config config);
+  /// The backend's counters live in `metrics` (series labeled
+  /// transport="uring"); the registry must outlive the backend.
+  IoUringNetwork(Config config, obs::MetricsRegistry& metrics);
   ~IoUringNetwork() override;
 
   IoUringNetwork(const IoUringNetwork&) = delete;
   IoUringNetwork& operator=(const IoUringNetwork&) = delete;
 
-  [[nodiscard]] std::optional<Received> transact(
-      std::span<const std::uint8_t> datagram, Nanos now) override;
-
   void submit(std::span<const Datagram> window, Ticket ticket,
               const SubmitOptions& options) override;
-  using Network::submit;
+  using TransportQueue::submit;
   [[nodiscard]] std::vector<Completion> poll_completions() override;
   void cancel(Ticket ticket) override;
   [[nodiscard]] std::size_t pending() const override;
-
-  /// Observable syscall-shape counters (bench/test instrumentation).
-  /// Snapshot view over the registry series — the registry counters are
-  /// the single source of truth.
-  struct Stats {
-    std::uint64_t enters = 0;        ///< io_uring_enter syscalls
-    std::uint64_t sqes = 0;          ///< SQEs prepared
-    std::uint64_t send_cqes = 0;     ///< sendmsg completions reaped
-    std::uint64_t recv_cqes = 0;     ///< recvmsg completions reaped
-    std::uint64_t timeout_cqes = 0;  ///< ticket-deadline completions
-    std::uint64_t recvs_retired = 0;  ///< receive slots retired on
-                                      ///< persistent error completions
-  };
-  [[nodiscard]] Stats stats() const noexcept {
-    return Stats{enters_->value(),       sqes_->value(),
-                 send_cqes_->value(),    recv_cqes_->value(),
-                 timeout_cqes_->value(), recvs_retired_->value()};
-  }
 
  private:
   using Clock = ReplyAttributor::Clock;
@@ -127,7 +104,7 @@ class IoUringNetwork final : public Network {
   void handle_cqe(std::uint64_t user_data, std::int32_t res);
   void handle_recv(RecvOp& op, std::int32_t res);
 
-  void register_metrics();
+  void register_metrics(obs::MetricsRegistry& registry);
 
   Config config_;
   int send_fd_ = -1;
@@ -146,8 +123,6 @@ class IoUringNetwork final : public Network {
   std::unordered_map<Ticket, std::uint64_t> ticket_timeouts_;
   /// Destructor teardown: reaped receives are retired, not re-armed.
   bool draining_ = false;
-  /// Backing registry when Config::metrics is null.
-  obs::MetricsRegistry fallback_metrics_;
   obs::Counter* enters_ = nullptr;
   obs::Counter* sqes_ = nullptr;
   obs::Counter* send_cqes_ = nullptr;

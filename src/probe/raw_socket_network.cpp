@@ -10,7 +10,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include "common/assert.h"
 #include "common/error.h"
 #include "net/packet.h"
 
@@ -21,9 +20,7 @@
 
 namespace mmlpt::probe {
 
-void RawSocketNetwork::register_metrics() {
-  obs::MetricsRegistry& registry =
-      config_.metrics != nullptr ? *config_.metrics : fallback_metrics_;
+void RawSocketNetwork::register_metrics(obs::MetricsRegistry& registry) {
   const obs::Labels labels{{"transport", "poll"}};
   send_datagrams_ =
       registry.counter("mmlpt_transport_probes_sent_total",
@@ -49,8 +46,10 @@ void RawSocketNetwork::register_metrics() {
   attributor_.set_expiry_counter(deadline_expiries_);
 }
 
-RawSocketNetwork::RawSocketNetwork(Config config) : config_(config) {
-  register_metrics();
+RawSocketNetwork::RawSocketNetwork(Config config,
+                                   obs::MetricsRegistry& metrics)
+    : config_(config) {
+  register_metrics(metrics);
   const bool v6 = config_.family == net::Family::kIpv6;
   const int domain = v6 ? AF_INET6 : AF_INET;
   send_fd_ = ::socket(domain, SOCK_RAW, IPPROTO_RAW);
@@ -260,27 +259,6 @@ void RawSocketNetwork::cancel(Ticket ticket) { attributor_.cancel(ticket); }
 
 std::size_t RawSocketNetwork::pending() const {
   return attributor_.unresolved();
-}
-
-std::optional<Received> RawSocketNetwork::transact(
-    std::span<const std::uint8_t> datagram, Nanos /*now*/) {
-  // The serial path is the queue path with a one-slot window; it must
-  // not interleave with in-flight submissions (their completions would
-  // be misrouted).
-  MMLPT_EXPECTS(pending() == 0);
-  const Datagram window[] = {Datagram{{datagram.begin(), datagram.end()}, 0}};
-  submit(window, /*ticket=*/0);
-  std::optional<Received> reply;
-  std::size_t outstanding = 1;
-  while (outstanding > 0) {
-    auto completions = poll_completions();
-    MMLPT_ASSERT(!completions.empty());
-    for (auto& completion : completions) {
-      reply = std::move(completion.reply);
-      --outstanding;
-    }
-  }
-  return reply;
 }
 
 }  // namespace mmlpt::probe

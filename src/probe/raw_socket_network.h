@@ -26,7 +26,7 @@
 // from the monotonic clock against each ticket's absolute deadline
 // (see poll_budget_ms), never reused from the original budget. The
 // recompute happens once per WAKEUP, not once per received datagram
-// (stats().budget_recomputes is the regression guard).
+// (the budget-recompute counter is the regression guard).
 //
 // Requires CAP_NET_RAW (root) and Internet access; constructing without
 // privileges throws mmlpt::SystemError. Unit tests therefore run against
@@ -43,8 +43,8 @@
 #include "net/ip_address.h"
 #include "net/packet.h"
 #include "obs/metrics.h"
-#include "probe/network.h"
 #include "probe/reply_attribution.h"
+#include "probe/transport_queue.h"
 
 namespace mmlpt::probe {
 
@@ -66,7 +66,7 @@ namespace mmlpt::probe {
       ms, std::numeric_limits<int>::max()));
 }
 
-class RawSocketNetwork final : public Network {
+class RawSocketNetwork final : public TransportQueue {
  public:
   struct Config {
     std::chrono::milliseconds reply_timeout{1000};
@@ -74,45 +74,22 @@ class RawSocketNetwork final : public Network {
     /// the crafted probes (the reply parser reconstructs the reply's
     /// destination from it).
     net::Family family = net::Family::kIpv4;
-    /// Registry the backend's counters live in (series labeled
-    /// transport="poll"). Null = a privately-owned registry, so the
-    /// counters always exist and stats() stays a pure view.
-    obs::MetricsRegistry* metrics = nullptr;
   };
 
-  explicit RawSocketNetwork(Config config);
+  /// The backend's counters live in `metrics` (series labeled
+  /// transport="poll"); the registry must outlive the backend.
+  RawSocketNetwork(Config config, obs::MetricsRegistry& metrics);
   ~RawSocketNetwork() override;
 
   RawSocketNetwork(const RawSocketNetwork&) = delete;
   RawSocketNetwork& operator=(const RawSocketNetwork&) = delete;
 
-  [[nodiscard]] std::optional<Received> transact(
-      std::span<const std::uint8_t> datagram, Nanos now) override;
-
   void submit(std::span<const Datagram> window, Ticket ticket,
               const SubmitOptions& options) override;
-  using Network::submit;
+  using TransportQueue::submit;
   [[nodiscard]] std::vector<Completion> poll_completions() override;
   void cancel(Ticket ticket) override;
   [[nodiscard]] std::size_t pending() const override;
-
-  /// Observable syscall-shape counters: the batched fast path and the
-  /// once-per-wakeup budget discipline are regression-tested through
-  /// these, not timed. Snapshot view over the registry series — the
-  /// registry counters are the single source of truth.
-  struct Stats {
-    std::uint64_t sendmmsg_calls = 0;   ///< send batches shipped
-    std::uint64_t send_datagrams = 0;   ///< probes sent (all batches)
-    std::uint64_t recvmmsg_calls = 0;   ///< receive batches drained
-    std::uint64_t recv_datagrams = 0;   ///< datagrams scooped up
-    std::uint64_t poll_calls = 0;       ///< poll() wakeup waits
-    std::uint64_t budget_recomputes = 0;  ///< deadline-budget derivations
-  };
-  [[nodiscard]] Stats stats() const noexcept {
-    return Stats{sendmmsg_calls_->value(),   send_datagrams_->value(),
-                 recvmmsg_calls_->value(),   recv_datagrams_->value(),
-                 poll_calls_->value(),       budget_recomputes_->value()};
-  }
 
  private:
   using Clock = ReplyAttributor::Clock;
@@ -125,14 +102,15 @@ class RawSocketNetwork final : public Network {
   /// recvmmsg until EAGAIN), attributing each to its pending slot.
   void drain_replies();
 
-  void register_metrics();
+  void register_metrics(obs::MetricsRegistry& registry);
 
   Config config_;
   int send_fd_ = -1;
   int recv_fd_ = -1;
   ReplyAttributor attributor_;
-  /// Backing registry when Config::metrics is null.
-  obs::MetricsRegistry fallback_metrics_;
+  // The syscall-shape counters (the batched fast path and the
+  // once-per-wakeup budget discipline are regression-tested through
+  // these, not timed).
   obs::Counter* sendmmsg_calls_ = nullptr;
   obs::Counter* send_datagrams_ = nullptr;
   obs::Counter* recvmmsg_calls_ = nullptr;

@@ -2,13 +2,6 @@
 
 namespace mmlpt::probe {
 
-std::optional<Received> SimulatedNetwork::transact(
-    std::span<const std::uint8_t> datagram, Nanos now) {
-  auto reply = simulator_->handle(datagram, now);
-  if (!reply) return std::nullopt;
-  return Received{std::move(reply->datagram), reply->rtt};
-}
-
 void SimulatedNetwork::submit(std::span<const Datagram> window, Ticket ticket,
                               const SubmitOptions& /*options*/) {
   ready_.reserve(ready_.size() + window.size());

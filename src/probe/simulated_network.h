@@ -1,29 +1,26 @@
-// Network backend that feeds probes to an in-process Fakeroute simulator.
+// Transport backend that feeds probes to an in-process Fakeroute simulator.
 #ifndef MMLPT_PROBE_SIMULATED_NETWORK_H
 #define MMLPT_PROBE_SIMULATED_NETWORK_H
 
 #include "fakeroute/simulator.h"
-#include "probe/network.h"
+#include "probe/transport_queue.h"
 
 namespace mmlpt::probe {
 
-class SimulatedNetwork final : public Network {
+class SimulatedNetwork final : public TransportQueue {
  public:
   /// The simulator must outlive this adapter.
   explicit SimulatedNetwork(fakeroute::Simulator& simulator)
       : simulator_(&simulator) {}
 
-  [[nodiscard]] std::optional<Received> transact(
-      std::span<const std::uint8_t> datagram, Nanos now) override;
-
-  /// Queue path: the simulator is a sequential machine with no real
-  /// latency, so every slot resolves AT submit() — one virtual-time step
-  /// per datagram, in submission order, deterministic and bit-identical
-  /// to a serial loop of transact() calls. poll_completions() merely
-  /// hands the resolved slots over; per-ticket deadlines never trigger.
+  /// The simulator is a sequential machine with no real latency, so
+  /// every slot resolves AT submit() — one virtual-time step per
+  /// datagram, in submission order, deterministic for any window split.
+  /// poll_completions() merely hands the resolved slots over; per-ticket
+  /// deadlines never trigger.
   void submit(std::span<const Datagram> window, Ticket ticket,
               const SubmitOptions& options) override;
-  using Network::submit;
+  using TransportQueue::submit;
   [[nodiscard]] std::vector<Completion> poll_completions() override;
   void cancel(Ticket ticket) override;
   [[nodiscard]] std::size_t pending() const override;

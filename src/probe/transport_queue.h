@@ -5,9 +5,9 @@
 // them, tagged with (ticket, slot) so concurrent submitters can be
 // demultiplexed over one shared transport.
 //
-// This is the primary probing interface: ProbeEngine drives it directly,
-// and the blocking Network::transact_batch of the earlier pipeline survives only as a
-// compatibility shim layered on top (see network.h).
+// This is the one probing interface: ProbeEngine drives it directly, and
+// every backend (SimulatedNetwork, RawSocketNetwork, IoUringNetwork) and
+// decorator (ThrottledNetwork, CancellableNetwork) implements it.
 //
 // Contract:
 //   * submit() ships `window` as one in-flight batch. Tickets are chosen

@@ -37,10 +37,9 @@ std::string_view resolved_transport_name(TransportKind kind) noexcept {
   return transport_name(resolve_transport(kind));
 }
 
-std::unique_ptr<Network> make_transport(
+std::unique_ptr<TransportQueue> make_transport(
     TransportKind kind, net::Family family,
-    std::chrono::milliseconds reply_timeout,
-    obs::MetricsRegistry* metrics) {
+    std::chrono::milliseconds reply_timeout, obs::MetricsRegistry& metrics) {
   const TransportKind resolved = resolve_transport(kind);
   if (resolved == TransportKind::kUring) {
     if (!IoUringNetwork::supported()) {
@@ -53,14 +52,10 @@ std::unique_ptr<Network> make_transport(
     IoUringNetwork::Config config;
     config.reply_timeout = reply_timeout;
     config.family = family;
-    config.metrics = metrics;
-    return std::make_unique<IoUringNetwork>(config);
+    return std::make_unique<IoUringNetwork>(config, metrics);
   }
-  RawSocketNetwork::Config config;
-  config.reply_timeout = reply_timeout;
-  config.family = family;
-  config.metrics = metrics;
-  return std::make_unique<RawSocketNetwork>(config);
+  return std::make_unique<RawSocketNetwork>(
+      RawSocketNetwork::Config{reply_timeout, family}, metrics);
 }
 
 }  // namespace mmlpt::probe

@@ -22,7 +22,7 @@ class MetricsRegistry;
 
 namespace mmlpt::probe {
 
-class Network;
+class TransportQueue;
 
 enum class TransportKind {
   kAuto,   ///< uring when the kernel supports it, else poll
@@ -49,13 +49,11 @@ enum class TransportKind {
 /// Construct the chosen backend (resolving `auto` first). Throws
 /// ConfigError when `uring` is requested explicitly but the kernel
 /// lacks io_uring; SystemError when socket/ring setup fails
-/// (CAP_NET_RAW is required either way). A non-null `metrics` registry
-/// receives the backend's transport-labeled series; null leaves the
-/// backend on its private fallback registry.
-[[nodiscard]] std::unique_ptr<Network> make_transport(
+/// (CAP_NET_RAW is required either way). The backend's
+/// transport-labeled series live in `metrics`, which must outlive it.
+[[nodiscard]] std::unique_ptr<TransportQueue> make_transport(
     TransportKind kind, net::Family family,
-    std::chrono::milliseconds reply_timeout,
-    obs::MetricsRegistry* metrics = nullptr);
+    std::chrono::milliseconds reply_timeout, obs::MetricsRegistry& metrics);
 
 }  // namespace mmlpt::probe
 

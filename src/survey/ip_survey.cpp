@@ -1,10 +1,7 @@
 #include "survey/ip_survey.h"
 
-#include <optional>
-
 #include "core/trace_json.h"
 #include "orchestrator/fleet.h"
-#include "orchestrator/throttled_network.h"
 #include "probe/simulated_network.h"
 #include "survey/route_feeder.h"
 
@@ -18,36 +15,10 @@ core::TraceResult trace_route_task(const topo::GroundTruth& route,
                                    orchestrator::RateLimiter* limiter,
                                    orchestrator::RateLimiter* tenant_limiter,
                                    probe::CancelToken* cancel) {
-  if (!limiter && !tenant_limiter && !cancel) {
-    return core::run_trace(route, algorithm, trace, sim, seed);
-  }
   fakeroute::Simulator simulator(route, sim, seed);
   probe::SimulatedNetwork network(simulator);
-  probe::Network* transport = &network;
-
-  // Fleet layer: the fleet-wide throttle.
-  std::optional<orchestrator::ThrottledNetwork> fleet_throttled;
-  if (limiter) {
-    fleet_throttled.emplace(*transport, *limiter);
-    transport = &*fleet_throttled;
-  }
-
-  // Tenant layer: the daemon's per-tenant bucket charges IN ADDITION to
-  // the fleet-wide budget, so one tenant cannot starve the rest.
-  std::optional<orchestrator::ThrottledNetwork> tenant_throttled;
-  if (tenant_limiter) {
-    tenant_throttled.emplace(*transport, *tenant_limiter);
-    transport = &*tenant_throttled;
-  }
-
-  // Cancellation outermost: a fired token stops NEW probes before they
-  // are billed and resolves in-flight tickets through the layers below.
-  std::optional<probe::CancellableNetwork> cancellable;
-  if (cancel) {
-    cancellable.emplace(*transport, *cancel);
-    transport = &*cancellable;
-  }
-  return core::run_trace_with_network(*transport, route.source,
+  TraceTransport transport(network, limiter, tenant_limiter, cancel);
+  return core::run_trace_with_network(transport.queue(), route.source,
                                       route.destination, algorithm, trace);
 }
 

@@ -11,11 +11,13 @@
 #define MMLPT_SURVEY_IP_SURVEY_H
 
 #include <cstdint>
+#include <optional>
 
 #include "core/validation.h"
 #include "obs/metrics.h"
 #include "orchestrator/rate_limiter.h"
 #include "orchestrator/result_sink.h"
+#include "orchestrator/throttled_network.h"
 #include "probe/cancel.h"
 #include "survey/accounting.h"
 #include "topology/generator.h"
@@ -72,17 +74,45 @@ struct IpSurveyResult {
   return (survey_seed ^ 0x5353ULL) + route_index;
 }
 
-/// Trace one generated route as a fleet task: plain core::run_trace when
-/// undecorated, else a ThrottledNetwork stack charging `limiter`.
-/// Shared by the survey, the mmlpt_fleet CLI and the mmlptd daemon so
-/// the decoration path (and its determinism guarantees) live in one
-/// place. Two optional daemon-facing layers stack OUTSIDE the fleet
-/// decorations: `tenant_limiter` charges a per-tenant token bucket per
-/// submitted probe (on top of — never instead of — the fleet-wide
-/// limiter charge), and `cancel` wraps the whole stack in a
-/// probe::CancellableNetwork, so a fired token resolves the trace's
-/// in-flight tickets through TransportQueue::cancel and unwinds as
-/// probe::CanceledError. Both default off and change no output byte.
+/// The per-trace decorator stack over one trace's own transport, in its
+/// one fixed order: the fleet-wide throttle charging `limiter`, then the
+/// daemon's per-tenant throttle charging `tenant_limiter` (on top of —
+/// never instead of — the fleet charge, so one tenant cannot starve the
+/// rest), then cancellation outermost, so a fired token stops new probes
+/// before they are billed and resolves in-flight tickets through
+/// TransportQueue::cancel (unwinding as probe::CanceledError). A null
+/// argument leaves its layer out; no layer changes an output byte.
+class TraceTransport {
+ public:
+  TraceTransport(probe::TransportQueue& inner,
+                 orchestrator::RateLimiter* limiter,
+                 orchestrator::RateLimiter* tenant_limiter,
+                 const probe::CancelToken* cancel)
+      : top_(&inner) {
+    if (limiter) top_ = &fleet_throttled_.emplace(*top_, *limiter);
+    if (tenant_limiter) {
+      top_ = &tenant_throttled_.emplace(*top_, *tenant_limiter);
+    }
+    if (cancel) top_ = &cancellable_.emplace(*top_, *cancel);
+  }
+  TraceTransport(const TraceTransport&) = delete;
+  TraceTransport& operator=(const TraceTransport&) = delete;
+
+  /// The outermost layer: the queue the trace's engine drives.
+  [[nodiscard]] probe::TransportQueue& queue() noexcept { return *top_; }
+
+ private:
+  std::optional<orchestrator::ThrottledNetwork> fleet_throttled_;
+  std::optional<orchestrator::ThrottledNetwork> tenant_throttled_;
+  std::optional<probe::CancellableNetwork> cancellable_;
+  probe::TransportQueue* top_;
+};
+
+/// Trace one generated route as a fleet task over a TraceTransport
+/// stack. Shared by the survey, the mmlpt_fleet CLI and the mmlptd
+/// daemon so the decoration path (and its determinism guarantees) live
+/// in one place; `tenant_limiter` and `cancel` are the daemon-facing
+/// layers and default off.
 [[nodiscard]] core::TraceResult trace_route_task(
     const topo::GroundTruth& route, core::Algorithm algorithm,
     const core::TraceConfig& trace, const fakeroute::SimConfig& sim,

@@ -1,7 +1,6 @@
 #include "survey/router_survey.h"
 
 #include <algorithm>
-#include <optional>
 #include <set>
 #include <vector>
 
@@ -9,8 +8,8 @@
 #include "core/trace_json.h"
 #include "obs/metrics.h"
 #include "orchestrator/fleet.h"
-#include "orchestrator/throttled_network.h"
 #include "probe/simulated_network.h"
+#include "survey/ip_survey.h"
 #include "survey/route_feeder.h"
 
 namespace mmlpt::survey {
@@ -186,23 +185,12 @@ RouterSurveyResult run_router_survey(const RouterSurveyConfig& config,
         fakeroute::Simulator simulator(route, config.sim,
                                        base_seed + context.task_index);
         probe::SimulatedNetwork network(simulator);
-        std::optional<orchestrator::ThrottledNetwork> throttled;
-        probe::Network* transport = &network;
-        if (context.limiter) {
-          throttled.emplace(network, *context.limiter);
-          transport = &*throttled;
-        }
-        std::optional<probe::CancellableNetwork> cancellable;
-        if (config.cancel) {
-          // Outermost: a fired token stops new probes before they are
-          // billed and resolves in-flight tickets through the stack.
-          cancellable.emplace(*transport, *config.cancel);
-          transport = &*cancellable;
-        }
+        TraceTransport transport(network, context.limiter,
+                                 /*tenant_limiter=*/nullptr, config.cancel);
         probe::ProbeEngine::Config engine_config;
         engine_config.source = route.source;
         engine_config.destination = route.destination;
-        probe::ProbeEngine engine(*transport, engine_config);
+        probe::ProbeEngine engine(transport.queue(), engine_config);
 
         core::MultilevelTracer tracer(engine, config.multilevel);
         return tracer.run();

@@ -12,7 +12,7 @@
 #include "net/ipv6.h"
 #include "net/packet.h"
 #include "probe/engine.h"
-#include "probe/network.h"
+#include "support/silent_queue.h"
 
 namespace mmlpt::net {
 namespace {
@@ -203,19 +203,8 @@ TEST(ParisIpv6Wire, UdpBytesIdenticalAcrossFlows) {
                          b.begin() + kIpv6HeaderSize));
 }
 
-/// Transport that records every datagram and answers nothing.
-class CapturingNetwork final : public probe::Network {
- public:
-  std::optional<probe::Received> transact(
-      std::span<const std::uint8_t> datagram, probe::Nanos) override {
-    captured.emplace_back(datagram.begin(), datagram.end());
-    return std::nullopt;
-  }
-  std::vector<std::vector<std::uint8_t>> captured;
-};
-
 TEST(ParisIpv6Wire, EngineEncodesFlowIdInLabelWithConstantPorts) {
-  CapturingNetwork network;
+  probe::SilentQueue network;
   probe::ProbeEngine::Config config;
   config.source = IpAddress::parse_or_throw("2001:db8::aaaa");
   config.destination = IpAddress::parse_or_throw("2001:db8::bbbb");
@@ -226,11 +215,11 @@ TEST(ParisIpv6Wire, EngineEncodesFlowIdInLabelWithConstantPorts) {
   const std::vector<probe::ProbeEngine::ProbeRequest> requests = {
       {0, 5}, {1, 5}, {7, 5}, {41, 5}};
   (void)engine.probe_batch(requests);
-  ASSERT_EQ(network.captured.size(), requests.size());
+  ASSERT_EQ(network.sent.size(), requests.size());
 
   std::set<std::uint32_t> labels;
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    const auto parsed = parse_probe(network.captured[i]);
+    const auto parsed = parse_probe(network.sent[i]);
     EXPECT_EQ(parsed.family, Family::kIpv6);
     EXPECT_EQ(parsed.ip6.flow_label, requests[i].flow);
     labels.insert(parsed.ip6.flow_label);
@@ -238,8 +227,8 @@ TEST(ParisIpv6Wire, EngineEncodesFlowIdInLabelWithConstantPorts) {
     EXPECT_EQ(parsed.udp.src_port, config.base_src_port);
     EXPECT_EQ(parsed.udp.dst_port, config.base_dst_port);
     // Across flows at one TTL the wire differs only in the label bytes.
-    const auto offsets = diff_offsets(network.captured[0],
-                                      network.captured[i]);
+    const auto offsets = diff_offsets(network.sent[0],
+                                      network.sent[i]);
     for (const auto offset : offsets) {
       EXPECT_GE(offset, 1u);
       EXPECT_LE(offset, 3u);

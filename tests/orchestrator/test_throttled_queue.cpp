@@ -9,23 +9,10 @@
 #include "common/rng.h"
 #include "orchestrator/rate_limiter.h"
 #include "orchestrator/throttled_network.h"
-#include "probe/network.h"
+#include "support/silent_queue.h"
 
 namespace mmlpt::orchestrator {
 namespace {
-
-/// Transact-only inner backend (the base class's default queue buffers
-/// submissions and resolves them at poll): answers nothing, counts
-/// datagrams that reached the wire.
-class CountingNetwork final : public probe::Network {
- public:
-  [[nodiscard]] std::optional<probe::Received> transact(
-      std::span<const std::uint8_t>, probe::Nanos) override {
-    ++wire_datagrams;
-    return std::nullopt;
-  }
-  std::uint64_t wire_datagrams = 0;
-};
 
 TEST(ThrottledQueue, PropertyOneTokenPerSubmittedProbe) {
   // 64 random schedules: interleave submits of random windows (several
@@ -34,7 +21,7 @@ TEST(ThrottledQueue, PropertyOneTokenPerSubmittedProbe) {
   // never re-charged at poll, never skipped under interleaving.
   Rng rng(20260729);
   for (int schedule = 0; schedule < 64; ++schedule) {
-    CountingNetwork inner;
+    probe::SilentQueue inner;
     RateLimiter limiter(1e9, 1 << 20);
     ThrottledNetwork throttled(inner, limiter);
 
@@ -60,13 +47,13 @@ TEST(ThrottledQueue, PropertyOneTokenPerSubmittedProbe) {
       unresolved -= throttled.poll_completions().size();
     }
     EXPECT_EQ(limiter.granted(), submitted);
-    EXPECT_EQ(inner.wire_datagrams, submitted);
+    EXPECT_EQ(inner.sent.size(), submitted);
     EXPECT_EQ(throttled.pending(), 0u);
   }
 }
 
 TEST(ThrottledQueue, EmptyWindowCostsNothing) {
-  CountingNetwork inner;
+  probe::SilentQueue inner;
   RateLimiter limiter(1e9, 16);
   ThrottledNetwork throttled(inner, limiter);
   const std::vector<probe::Datagram> empty;

@@ -1,6 +1,6 @@
-// The batched transport contract: Network::transact_batch's default
-// serial fallback, the SimulatedNetwork override, the ThrottledNetwork
-// decorator, and ProbeEngine::probe_batch on top.
+// The batched probing contract: ProbeEngine::probe_batch over the
+// SimulatedNetwork queue, its retry rounds, and the ThrottledNetwork
+// decorator.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -13,6 +13,7 @@
 #include "orchestrator/throttled_network.h"
 #include "probe/engine.h"
 #include "probe/simulated_network.h"
+#include "support/silent_queue.h"
 #include "topology/reference.h"
 
 namespace mmlpt::probe {
@@ -38,26 +39,6 @@ struct Rig {
     return c;
   }
 };
-
-/// Minimal Network spy: counts calls, answers nothing.
-class DeadNetwork final : public Network {
- public:
-  [[nodiscard]] std::optional<Received> transact(
-      std::span<const std::uint8_t>, Nanos) override {
-    ++transacts;
-    return std::nullopt;
-  }
-  int transacts = 0;
-};
-
-TEST(TransactBatch, DefaultFallbackTransactsEachDatagramInOrder) {
-  DeadNetwork network;
-  std::vector<Datagram> batch(5);
-  const auto replies = network.transact_batch(batch);
-  EXPECT_EQ(network.transacts, 5);
-  ASSERT_EQ(replies.size(), 5u);
-  for (const auto& reply : replies) EXPECT_FALSE(reply.has_value());
-}
 
 TEST(TransactBatch, SimulatedBatchMatchesSerialTransacts) {
   // Same topology, same seed: a batched window and a serial loop must
@@ -167,7 +148,7 @@ TEST(ProbeBatch, DuplicateRequestsGetIndependentProbes) {
 }
 
 TEST(ProbeBatch, WindowWhereEveryProbeExhaustsMaxRetries) {
-  DeadNetwork network;
+  SilentQueue network;
   ProbeEngine::Config config;
   config.source = net::Ipv4Address(192, 168, 0, 1);
   config.destination = net::Ipv4Address(10, 0, 0, 1);
@@ -184,7 +165,7 @@ TEST(ProbeBatch, WindowWhereEveryProbeExhaustsMaxRetries) {
   // Every slot stays in every retry round: 4 probes x 3 attempts, sent
   // as 3 shrinking-to-nothing windows of 4.
   EXPECT_EQ(engine.packets_sent(), 12u);
-  EXPECT_EQ(network.transacts, 12);
+  EXPECT_EQ(network.sent.size(), 12u);
 }
 
 TEST(ProbeBatch, AttemptsCountRetriesActuallyUsed) {

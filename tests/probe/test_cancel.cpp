@@ -18,21 +18,15 @@ namespace {
 
 /// Recording inner queue: holds every submitted slot pending until
 /// cancel() resolves it, and logs which tickets the decorator canceled.
-class RecordingNetwork final : public Network {
+class RecordingNetwork final : public TransportQueue {
  public:
-  [[nodiscard]] std::optional<Received> transact(
-      std::span<const std::uint8_t>, Nanos) override {
-    ++transacts;
-    return std::nullopt;
-  }
-
   void submit(std::span<const Datagram> window, Ticket ticket,
               const SubmitOptions&) override {
     for (std::size_t slot = 0; slot < window.size(); ++slot) {
       pending_.push_back({ticket, slot});
     }
   }
-  using Network::submit;
+  using TransportQueue::submit;
 
   [[nodiscard]] std::vector<Completion> poll_completions() override {
     // Only canceled slots ever resolve — this backend never answers, so
@@ -61,7 +55,6 @@ class RecordingNetwork final : public Network {
     return pending_.size();
   }
 
-  int transacts = 0;
   std::vector<Ticket> canceled_tickets;
 
  private:
@@ -104,24 +97,17 @@ TEST(CancellableNetwork, ForwardsUntouchedWhileTokenIsQuiet) {
   EXPECT_EQ(completions.size(), 3u);
   EXPECT_EQ(network.pending(), 0u);
   EXPECT_EQ(network.tickets_canceled(), 0u);
-
-  const std::vector<std::uint8_t> probe{1, 2, 3};
-  (void)network.transact(probe, 0);
-  EXPECT_EQ(inner.transacts, 1);
 }
 
-TEST(CancellableNetwork, RefusesTransactAndSubmitOnceFired) {
+TEST(CancellableNetwork, RefusesSubmitOnceFired) {
   RecordingNetwork inner;
   CancelToken token;
   CancellableNetwork network(inner, token);
   token.request();
 
-  const std::vector<std::uint8_t> probe{1};
-  EXPECT_THROW((void)network.transact(probe, 0), CanceledError);
   const auto window = window_of(1);
   EXPECT_THROW(network.submit(window, 1), CanceledError);
   // Nothing reached the backend: nothing to cancel, nothing pending.
-  EXPECT_EQ(inner.transacts, 0);
   EXPECT_EQ(inner.pending(), 0u);
   EXPECT_TRUE(inner.canceled_tickets.empty());
 }

@@ -22,6 +22,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "core/validation.h"
 #include "fakeroute/simulator.h"
 #include "net/packet.h"
+#include "obs/metrics.h"
 #include "probe/io_uring_network.h"
 #include "probe/raw_socket_network.h"
 #include "probe/simulated_network.h"
@@ -49,7 +51,7 @@ class TransportHarness {
   /// Prepare a fresh backend; empty return = ready, otherwise the skip
   /// reason (missing privilege / kernel capability).
   [[nodiscard]] virtual std::string setup(bool blackhole) = 0;
-  [[nodiscard]] virtual Network& network() = 0;
+  [[nodiscard]] virtual TransportQueue& network() = 0;
   /// A well-formed IPv4 UDP Paris probe, flow-distinguished by `flow`
   /// and per-probe-discriminated by `ip_id`.
   [[nodiscard]] virtual std::vector<std::uint8_t> probe(
@@ -66,7 +68,7 @@ class SimulatedHarness final : public TransportHarness {
     network_ = std::make_unique<SimulatedNetwork>(*simulator_);
     return "";
   }
-  Network& network() override { return *network_; }
+  TransportQueue& network() override { return *network_; }
   std::vector<std::uint8_t> probe(std::uint16_t flow,
                                   std::uint16_t ip_id) override {
     net::ProbeSpec spec;
@@ -135,6 +137,7 @@ class LoopbackHarness : public TransportHarness {
   [[nodiscard]] virtual std::string make_network() = 0;
 
   std::chrono::milliseconds reply_timeout_{2000};
+  obs::MetricsRegistry registry_;
 
  private:
   int sink_fd_ = -1;
@@ -143,15 +146,18 @@ class LoopbackHarness : public TransportHarness {
 
 class RawSocketHarness final : public LoopbackHarness {
  public:
-  Network& network() override { return *network_; }
-  [[nodiscard]] RawSocketNetwork& raw() { return *network_; }
+  TransportQueue& network() override { return *network_; }
+  /// The poll backend's series `name` (transport="poll").
+  [[nodiscard]] std::uint64_t counter(const std::string& name) {
+    return registry_.counter(name, "", {{"transport", "poll"}})->value();
+  }
 
  protected:
   std::string make_network() override {
     RawSocketNetwork::Config config;
     config.reply_timeout = reply_timeout_;
     try {
-      network_ = std::make_unique<RawSocketNetwork>(config);
+      network_ = std::make_unique<RawSocketNetwork>(config, registry_);
     } catch (const SystemError& e) {
       return std::string("raw sockets unavailable (needs CAP_NET_RAW): ") +
              e.what();
@@ -165,7 +171,7 @@ class RawSocketHarness final : public LoopbackHarness {
 
 class IoUringHarness final : public LoopbackHarness {
  public:
-  Network& network() override { return *network_; }
+  TransportQueue& network() override { return *network_; }
 
  protected:
   std::string make_network() override {
@@ -176,7 +182,7 @@ class IoUringHarness final : public LoopbackHarness {
     IoUringNetwork::Config config;
     config.reply_timeout = reply_timeout_;
     try {
-      network_ = std::make_unique<IoUringNetwork>(config);
+      network_ = std::make_unique<IoUringNetwork>(config, registry_);
     } catch (const SystemError& e) {
       return std::string("io_uring backend unavailable: ") + e.what();
     }
@@ -192,6 +198,10 @@ struct BackendParam {
   std::unique_ptr<TransportHarness> (*make)();
 };
 
+// Names the parameter in test listings (the default prints its raw
+// bytes, which change from run to run).
+void PrintTo(const BackendParam& param, std::ostream* os) { *os << param.name; }
+
 class TransportContract : public ::testing::TestWithParam<BackendParam> {
  protected:
   /// Build the harness in the requested mode or SKIP with its reason.
@@ -204,7 +214,7 @@ class TransportContract : public ::testing::TestWithParam<BackendParam> {
   /// Poll until every submitted slot of `expected` (ticket -> slots) has
   /// resolved, asserting the exactly-once contract along the way. Output
   /// parameter because ASSERT_* needs a void-returning function.
-  void drain_all(Network& network, std::size_t expected,
+  void drain_all(TransportQueue& network, std::size_t expected,
                  std::vector<Completion>& all) {
     std::map<std::pair<Ticket, std::size_t>, int> seen;
     while (all.size() < expected) {
@@ -235,6 +245,23 @@ class TransportContract : public ::testing::TestWithParam<BackendParam> {
           static_cast<Nanos>(i + 1) * 1'000'000});
     }
     return datagrams;
+  }
+
+  /// Submit `rounds` answered windows of `size` slots back to back, all on
+  /// `ticket`; every slot of every round must draw a reply.
+  void reuse_ticket(Ticket ticket, std::size_t size, int rounds) {
+    auto& network = harness_->network();
+    for (int round = 0; round < rounds; ++round) {
+      const auto probes = window(size, static_cast<std::uint16_t>(round * 4));
+      network.submit(probes, ticket);
+      std::vector<Completion> completions;
+      drain_all(network, probes.size(), completions);
+      if (HasFatalFailure()) return;
+      for (const auto& completion : completions) {
+        EXPECT_EQ(completion.ticket, ticket);
+        EXPECT_TRUE(completion.reply.has_value()) << "round " << round;
+      }
+    }
   }
 
   std::unique_ptr<TransportHarness> harness_;
@@ -360,40 +387,20 @@ TEST_P(TransportContract, PollSurvivesEintrStormWithoutWedging) {
   }
 }
 
-TEST_P(TransportContract, TransactBackToBackReusesTicketSafely) {
-  setup(/*blackhole=*/false);
-  auto& network = harness_->network();
-  // transact() reuses ticket 0 on every call — contract-legal, the
-  // previous window fully resolved. The ring backend reaps a settled
-  // ticket's in-kernel deadline lazily, so the canceled timeout's CQE
-  // can surface AFTER the ticket is reused; it must be dropped as stale
-  // instead of expiring the fresh window (regression: every transact
-  // after the first resolved unanswered).
-  for (std::uint16_t round = 0; round < 3; ++round) {
-    const auto bytes =
-        harness_->probe(round, static_cast<std::uint16_t>(round + 1));
-    const auto reply = network.transact(bytes, /*now=*/1);
-    ASSERT_TRUE(reply.has_value()) << "round " << round;
-    EXPECT_FALSE(reply->datagram.empty());
-  }
-}
-
+// A ticket whose window settled may be reused by the next submit. The
+// ring backend reaps a settled ticket's in-kernel deadline lazily, so the
+// canceled timeout's CQE can surface AFTER the ticket is reused; it must
+// be dropped as stale instead of expiring the fresh window.
 TEST_P(TransportContract, SubmitReusingASettledTicketDrawsFreshReplies) {
   setup(/*blackhole=*/false);
-  auto& network = harness_->network();
-  // Same stale-deadline hazard as above, through the queue path: a
-  // ticket whose window settled may be reused by the next submit while
-  // its canceled timeout op is still in flight in the ring.
-  for (std::uint16_t round = 0; round < 2; ++round) {
-    const auto probes = window(3, static_cast<std::uint16_t>(round * 4));
-    network.submit(probes, /*ticket=*/9);
-    std::vector<Completion> completions;
-    drain_all(network, probes.size(), completions);
-    for (const auto& completion : completions) {
-      EXPECT_EQ(completion.ticket, 9u);
-      EXPECT_TRUE(completion.reply.has_value()) << "round " << round;
-    }
-  }
+  reuse_ticket(/*ticket=*/9, /*size=*/3, /*rounds=*/3);
+}
+
+// The one-slot case of the same hazard (regression: back-to-back one-slot
+// windows on ticket 0 resolved unanswered after the first).
+TEST_P(TransportContract, OneSlotWindowsBackToBackReuseTicketSafely) {
+  setup(/*blackhole=*/false);
+  reuse_ticket(/*ticket=*/0, /*size=*/1, /*rounds=*/3);
 }
 
 TEST_P(TransportContract, PollWithNothingPendingReturnsEmpty) {
@@ -428,7 +435,7 @@ TEST(RawSocketSyscallShape, WindowGoesOutInOneSendBatch) {
   RawSocketHarness harness;
   const auto reason = harness.setup(/*blackhole=*/false);
   if (!reason.empty()) GTEST_SKIP() << reason;
-  auto& network = harness.raw();
+  auto& network = harness.network();
 
   std::vector<Datagram> probes;
   for (std::uint16_t i = 0; i < 16; ++i) {
@@ -437,22 +444,24 @@ TEST(RawSocketSyscallShape, WindowGoesOutInOneSendBatch) {
         static_cast<Nanos>(i + 1) * 1'000'000});
   }
   network.submit(probes, /*ticket=*/1);
-  EXPECT_EQ(network.stats().send_datagrams, probes.size());
+  EXPECT_EQ(harness.counter("mmlpt_transport_probes_sent_total"),
+            probes.size());
   // sendmmsg ships the whole window; allow a partial-send retry but not
   // a per-datagram loop.
-  EXPECT_LE(network.stats().sendmmsg_calls, 2u);
+  EXPECT_LE(harness.counter("mmlpt_transport_sendmmsg_calls_total"), 2u);
 
   while (network.pending() > 0) {
     if (network.poll_completions().empty()) break;
   }
-  EXPECT_GE(network.stats().recv_datagrams, probes.size());
+  EXPECT_GE(harness.counter("mmlpt_transport_replies_received_total"),
+            probes.size());
 }
 
 TEST(RawSocketSyscallShape, BudgetRecomputedPerWakeupNotPerDatagram) {
   RawSocketHarness harness;
   const auto reason = harness.setup(/*blackhole=*/false);
   if (!reason.empty()) GTEST_SKIP() << reason;
-  auto& network = harness.raw();
+  auto& network = harness.network();
 
   std::vector<Datagram> probes;
   for (std::uint16_t i = 0; i < 24; ++i) {
@@ -464,13 +473,14 @@ TEST(RawSocketSyscallShape, BudgetRecomputedPerWakeupNotPerDatagram) {
   while (network.pending() > 0) {
     if (network.poll_completions().empty()) break;
   }
-  const auto& stats = network.stats();
-  EXPECT_GE(stats.recv_datagrams, probes.size());
+  EXPECT_GE(harness.counter("mmlpt_transport_replies_received_total"),
+            probes.size());
   // The regression this guards: the old loop re-derived the poll budget
   // for every received datagram. The discipline is once per wakeup —
   // exactly one recompute per poll() call, however many datagrams the
   // recvmmsg drain scoops up.
-  EXPECT_EQ(stats.budget_recomputes, stats.poll_calls);
+  EXPECT_EQ(harness.counter("mmlpt_transport_budget_recomputes_total"),
+            harness.counter("mmlpt_transport_poll_calls_total"));
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
-// The TransportQueue contract: submit/poll/cancel semantics of the
-// default (transact-derived) queue and the SimulatedNetwork queue, the
-// transact_batch compatibility shim layered on top, and the
+// The TransportQueue contract: submit/poll semantics of the
+// SimulatedNetwork queue and of the engine on top, and the
 // deadline-arithmetic helper the raw-socket receive loop leans on.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <climits>
+#include <span>
 #include <vector>
 
 #include "core/validation.h"
@@ -14,93 +14,16 @@
 #include "probe/engine.h"
 #include "probe/raw_socket_network.h"
 #include "probe/simulated_network.h"
+#include "support/silent_queue.h"
 #include "topology/reference.h"
 
 namespace mmlpt::probe {
 namespace {
 
-/// Minimal transact-only backend: counts calls, answers nothing — it
-/// exercises the base class's default queue implementation.
-class DeadNetwork final : public Network {
- public:
-  [[nodiscard]] std::optional<Received> transact(
-      std::span<const std::uint8_t>, Nanos) override {
-    ++transacts;
-    return std::nullopt;
-  }
-  int transacts = 0;
-};
-
-std::vector<Datagram> window_of(std::size_t n) {
-  return std::vector<Datagram>(n);
-}
-
-TEST(TransportQueue, DefaultQueueResolvesSlotsInSubmissionOrder) {
-  DeadNetwork network;
-  const auto first = window_of(2);
-  const auto second = window_of(3);
-  network.submit(first, /*ticket=*/7);
-  network.submit(second, /*ticket=*/9);
-  EXPECT_EQ(network.pending(), 5u);
-  EXPECT_EQ(network.transacts, 0);  // nothing sent until the poll
-
-  const auto completions = network.poll_completions();
-  EXPECT_EQ(network.transacts, 5);
-  EXPECT_EQ(network.pending(), 0u);
-  ASSERT_EQ(completions.size(), 5u);
-  const Ticket tickets[] = {7, 7, 9, 9, 9};
-  const std::size_t slots[] = {0, 1, 0, 1, 2};
-  for (std::size_t i = 0; i < completions.size(); ++i) {
-    EXPECT_EQ(completions[i].ticket, tickets[i]);
-    EXPECT_EQ(completions[i].slot, slots[i]);
-    EXPECT_FALSE(completions[i].reply.has_value());
-    EXPECT_FALSE(completions[i].canceled);
-  }
-}
-
-TEST(TransportQueue, CancelResolvesWithoutTouchingTheWire) {
-  DeadNetwork network;
-  const auto window = window_of(3);
-  network.submit(window, /*ticket=*/1);
-  network.cancel(1);
-  const auto completions = network.poll_completions();
-  EXPECT_EQ(network.transacts, 0);  // canceled probes never transact
-  ASSERT_EQ(completions.size(), 3u);
-  for (const auto& completion : completions) {
-    EXPECT_TRUE(completion.canceled);
-    EXPECT_FALSE(completion.reply.has_value());
-  }
-}
-
-TEST(TransportQueue, CancelIsPerTicket) {
-  DeadNetwork network;
-  const auto doomed = window_of(2);
-  const auto kept = window_of(1);
-  network.submit(doomed, 1);
-  network.submit(kept, 2);
-  network.cancel(1);
-  const auto completions = network.poll_completions();
-  EXPECT_EQ(network.transacts, 1);  // only ticket 2's probe went out
-  ASSERT_EQ(completions.size(), 3u);
-  for (const auto& completion : completions) {
-    EXPECT_EQ(completion.canceled, completion.ticket == 1);
-  }
-}
-
 TEST(TransportQueue, PollWithNothingPendingReturnsEmpty) {
-  DeadNetwork network;
+  SilentQueue network;
   EXPECT_TRUE(network.poll_completions().empty());
   EXPECT_EQ(network.pending(), 0u);
-}
-
-TEST(TransportQueue, ShimReDerivesBlockingBatchSemantics) {
-  DeadNetwork network;
-  std::vector<Datagram> batch(5);
-  const auto replies = network.transact_batch(batch);
-  EXPECT_EQ(network.transacts, 5);
-  ASSERT_EQ(replies.size(), 5u);
-  for (const auto& reply : replies) EXPECT_FALSE(reply.has_value());
-  EXPECT_EQ(network.pending(), 0u);  // the shim drains what it submits
 }
 
 /// Build a Paris probe towards the simplest-diamond world.
@@ -118,9 +41,9 @@ std::vector<std::uint8_t> udp_probe(const topo::GroundTruth& truth,
 }
 
 TEST(TransportQueue, SimulatedQueueMatchesSerialTransacts) {
-  // Twin simulators, same seed: the queue path must hand the simulator
-  // the same datagrams in the same order as a serial transact loop, so
-  // the completions must be byte-identical.
+  // Twin simulators, same seed: one six-slot window must hand the
+  // simulator the same datagrams in the same order as six one-datagram
+  // submit/poll rounds, so the completions must be byte-identical.
   const auto truth = core::plain_ground_truth(topo::simplest_diamond());
   fakeroute::Simulator serial_sim(truth, {}, 11);
   fakeroute::Simulator queued_sim(truth, {}, 11);
@@ -141,7 +64,10 @@ TEST(TransportQueue, SimulatedQueueMatchesSerialTransacts) {
   EXPECT_EQ(queued.pending(), 0u);
   ASSERT_EQ(completions.size(), window.size());
   for (std::size_t i = 0; i < window.size(); ++i) {
-    const auto reply = serial.transact(window[i].bytes, window[i].at);
+    serial.submit(std::span(window).subspan(i, 1), /*ticket=*/i);
+    const auto round = serial.poll_completions();
+    ASSERT_EQ(round.size(), 1u);
+    const auto& reply = round[0].reply;
     EXPECT_EQ(completions[i].ticket, 3u);
     EXPECT_EQ(completions[i].slot, i);
     ASSERT_EQ(completions[i].reply.has_value(), reply.has_value());

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <string>
 
 #include "cli_common.h"
 #include "common/flags.h"
@@ -76,11 +77,9 @@ constexpr const char kUsage[] =
 constexpr const char kUsageSuffix[] =
     "  --version            print version and exit\n";
 
-void print_usage() {
-  std::fputs(kUsage, stdout);
-  std::fputs(tools::stop_set_options_usage().c_str(), stdout);
-  std::fputs(tools::obs_options_usage().c_str(), stdout);
-  std::fputs(kUsageSuffix, stdout);
+std::string usage_text() {
+  return kUsage + tools::stop_set_options_usage() +
+         tools::obs_options_usage() + kUsageSuffix;
 }
 
 topo::MultipathGraph builtin_topology(const std::string& name) {
@@ -177,10 +176,14 @@ void print_text_multilevel(const core::MultilevelResult& result) {
 }
 
 int run(const Flags& flags) {
+  const auto usage = usage_text();
   // has(), not get_bool(): "--help <positional>" must still print usage.
   if (flags.has("help")) {
-    print_usage();
+    std::fputs(usage.c_str(), stdout);
     return 0;
+  }
+  if (tools::reject_unknown_flags(flags, usage, "mmlpt_trace")) {
+    return tools::kUsageErrorExit;
   }
   if (tools::handle_version(flags, "mmlpt_trace")) return 0;
   const net::Family family = tools::parse_family(flags);
@@ -211,7 +214,7 @@ int run(const Flags& flags) {
   // --transport value is validated even in simulator mode so a typo is
   // caught before a run that would silently ignore it.
   const auto transport = tools::parse_transport(flags);
-  std::unique_ptr<probe::Network> network;
+  std::unique_ptr<probe::TransportQueue> network;
   std::unique_ptr<fakeroute::Simulator> simulator;
   probe::ProbeEngine::Config engine_config;
   topo::GroundTruth truth;
@@ -233,7 +236,7 @@ int run(const Flags& flags) {
     }
     network = probe::make_transport(
         transport, family, probe::RawSocketNetwork::Config{}.reply_timeout,
-        &obs.registry());
+        obs.registry());
   } else {
     truth = load_ground_truth(flags, family);
     simulator = std::make_unique<fakeroute::Simulator>(
