@@ -15,10 +15,9 @@
 // overrides it); poll_completions() runs ONE poll()-driven receive loop
 // over every pending slot of every in-flight ticket, draining each
 // wakeup with recvmmsg() so a burst of replies costs one syscall, not
-// one per datagram. N concurrent tracers multiplexed onto this socket
-// pair (the fleet merger) share a single receive loop and their reply
-// timeouts all overlap. Reply-to-slot matching is the shared two-tier
-// attribution policy (probe::ReplyAttributor).
+// one per datagram. Tickets submitted concurrently share a single
+// receive loop and their reply timeouts all overlap. Reply-to-slot
+// matching is the two-tier attribution policy (probe::ReplyAttributor).
 //
 // The receive loop is hardened against EINTR and deadline drift: after
 // every wakeup — signal, stray packet, poll() returning early on its
@@ -30,8 +29,8 @@
 //
 // Requires CAP_NET_RAW (root) and Internet access; constructing without
 // privileges throws mmlpt::SystemError. Unit tests therefore run against
-// SimulatedNetwork; the loopback conformance suite exercises this
-// backend directly when run privileged.
+// SimulatedNetwork; the loopback conformance suite and a loopback
+// whole-trace test exercise this backend directly when run privileged.
 #ifndef MMLPT_PROBE_RAW_SOCKET_NETWORK_H
 #define MMLPT_PROBE_RAW_SOCKET_NETWORK_H
 

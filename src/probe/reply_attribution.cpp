@@ -71,7 +71,6 @@ std::vector<std::uint8_t> reconstruct_ipv6_reply(
 }
 
 void ReplyAttributor::add_pending(PendingSlot slot) {
-  ++pending_per_ticket_[slot.ticket];
   pending_.push_back(std::move(slot));
 }
 
@@ -84,19 +83,9 @@ void ReplyAttributor::resolve_unsent(Ticket ticket, std::size_t slot,
   remember_resolved(std::move(probe));
 }
 
-void ReplyAttributor::resolve_unanswered(Ticket ticket, std::size_t slot) {
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    if (pending_[i].ticket == ticket && pending_[i].slot == slot) {
-      resolve_at(i, /*canceled=*/false);
-      return;
-    }
-  }
-}
-
 void ReplyAttributor::resolve_at(std::size_t index, bool canceled) {
-  const Ticket ticket = pending_[index].ticket;
   Completion completion;
-  completion.ticket = ticket;
+  completion.ticket = pending_[index].ticket;
   completion.slot = pending_[index].slot;
   completion.canceled = canceled;
   ready_.push_back(std::move(completion));
@@ -104,23 +93,11 @@ void ReplyAttributor::resolve_at(std::size_t index, bool canceled) {
   // late reply is dropped, not loose-matched onto another slot.
   remember_resolved(std::move(pending_[index].probe));
   pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(index));
-  drop_pending_count(ticket);
 }
 
 void ReplyAttributor::expire(Clock::time_point now) {
   for (std::size_t i = 0; i < pending_.size();) {
     if (pending_[i].deadline <= now) {
-      resolve_at(i, /*canceled=*/false);
-      if (expiry_counter_ != nullptr) expiry_counter_->add();
-    } else {
-      ++i;
-    }
-  }
-}
-
-void ReplyAttributor::expire_ticket(Ticket ticket) {
-  for (std::size_t i = 0; i < pending_.size();) {
-    if (pending_[i].ticket == ticket) {
       resolve_at(i, /*canceled=*/false);
       if (expiry_counter_ != nullptr) expiry_counter_->add();
     } else {
@@ -183,21 +160,15 @@ void ReplyAttributor::attribute(const net::ParsedReply& got,
   completion.slot = slot.slot;
   completion.reply =
       Received{std::move(reply), static_cast<Nanos>(rtt.count())};
-  const Ticket hit_ticket = completion.ticket;
   ready_.push_back(std::move(completion));
   remember_resolved(std::move(slot.probe));
   pending_.erase(pending_.begin() + hit);
-  drop_pending_count(hit_ticket);
 }
 
 std::vector<Completion> ReplyAttributor::take_ready() {
   auto completions = std::move(ready_);
   ready_.clear();
   return completions;
-}
-
-void ReplyAttributor::push_ready(Completion completion) {
-  ready_.push_back(std::move(completion));
 }
 
 std::optional<ReplyAttributor::Clock::time_point>
@@ -208,17 +179,6 @@ ReplyAttributor::earliest_deadline() const {
     earliest = std::min(earliest, slot.deadline);
   }
   return earliest;
-}
-
-std::size_t ReplyAttributor::pending_for(Ticket ticket) const noexcept {
-  const auto it = pending_per_ticket_.find(ticket);
-  return it == pending_per_ticket_.end() ? 0 : it->second;
-}
-
-void ReplyAttributor::drop_pending_count(Ticket ticket) {
-  const auto it = pending_per_ticket_.find(ticket);
-  if (it == pending_per_ticket_.end()) return;
-  if (--it->second == 0) pending_per_ticket_.erase(it);
 }
 
 void ReplyAttributor::remember_resolved(net::ParsedProbe probe) {

@@ -1,11 +1,10 @@
-// Reply-to-probe attribution shared by every raw transport backend.
+// Reply-to-probe attribution for the raw-socket transport.
 //
-// RawSocketNetwork (poll()-driven) and IoUringNetwork (completion-ring
-// driven) differ only in HOW datagrams reach the wire and come back;
+// RawSocketNetwork decides HOW datagrams reach the wire and come back;
 // WHAT a reply means — which pending slot it answers, whether it is a
-// duplicate, when a slot's deadline expires — is one policy, factored
-// here so the two backends cannot drift apart. The matching rules are
-// the two-tier discrimination the blocking path introduced:
+// duplicate, when a slot's deadline expires — is this policy, kept apart
+// from the socket plumbing. The matching rules are a two-tier
+// discrimination:
 //
 //   * tier 1 (flow): quoted ports / flow label / echo identifier pair a
 //     reply with a probe's flow,
@@ -15,8 +14,8 @@
 //
 // A ReplyAttributor owns the pending-slot table, the bounded memory of
 // resolved probes (late/duplicate reply drop) and the ready-completion
-// buffer; backends feed it sends, replies, deadlines and cancels and
-// drain completions out of it.
+// buffer; the backend feeds it sends, replies, deadlines and cancels and
+// drains completions out of it.
 #ifndef MMLPT_PROBE_REPLY_ATTRIBUTION_H
 #define MMLPT_PROBE_REPLY_ATTRIBUTION_H
 
@@ -25,7 +24,6 @@
 #include <deque>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "net/ip_address.h"
@@ -65,10 +63,10 @@ namespace mmlpt::probe {
     std::span<std::uint8_t> payload, const net::IpAddress& peer,
     int hop_limit, const net::IpAddress& reply_dst);
 
-/// The backend-independent half of a raw transport: pending slots with
+/// The socket-independent half of the raw transport: pending slots with
 /// per-ticket deadlines, two-tier reply attribution, duplicate/late
 /// drop, cancel, and the ready-completion buffer. Single-threaded, like
-/// the queues that embed it.
+/// the queue that embeds it.
 class ReplyAttributor {
  public:
   using Clock = std::chrono::steady_clock;
@@ -93,26 +91,16 @@ class ReplyAttributor {
   void resolve_unsent(Ticket ticket, std::size_t slot,
                       net::ParsedProbe probe);
 
-  /// Resolve one specific still-pending (ticket, slot) as unanswered;
-  /// no-op when it already resolved. The ring backend maps failed
-  /// asynchronous sends onto lost probes through this.
-  void resolve_unanswered(Ticket ticket, std::size_t slot);
-
   /// Move every pending slot past its deadline into the ready buffer
   /// (unanswered).
   void expire(Clock::time_point now);
 
-  /// Resolve every still-pending slot of `ticket` as unanswered — the
-  /// ring backend's per-ticket timeout completion IS the deadline, so it
-  /// expires the ticket without consulting the clock.
-  void expire_ticket(Ticket ticket);
-
   /// Resolve every still-pending slot of `ticket` as canceled.
   void cancel(Ticket ticket);
 
-  /// Counter bumped once per slot resolved by deadline expiry (expire()
-  /// and expire_ticket()); null = uninstrumented. The owning backend
-  /// points this at its `transport`-labeled deadline-expiry counter.
+  /// Counter bumped once per slot resolved by deadline expiry; null =
+  /// uninstrumented. The owning backend points this at its
+  /// `transport`-labeled deadline-expiry counter.
   void set_expiry_counter(obs::Counter* counter) noexcept {
     expiry_counter_ = counter;
   }
@@ -125,17 +113,10 @@ class ReplyAttributor {
 
   [[nodiscard]] bool has_ready() const noexcept { return !ready_.empty(); }
   [[nodiscard]] std::vector<Completion> take_ready();
-  /// Backends push completions they resolve themselves (rare paths).
-  void push_ready(Completion completion);
 
   [[nodiscard]] const std::vector<PendingSlot>& pending_slots() const noexcept {
     return pending_;
   }
-  /// Still-pending slots of `ticket`, O(1). The ring backend sweeps its
-  /// per-ticket timeouts against this instead of rescanning every
-  /// pending slot per ticket (quadratic once many tickets share one
-  /// backend).
-  [[nodiscard]] std::size_t pending_for(Ticket ticket) const noexcept;
   /// Earliest deadline across the pending slots; nullopt when none.
   [[nodiscard]] std::optional<Clock::time_point> earliest_deadline() const;
   /// TransportQueue::pending() semantics: slots submitted but not yet
@@ -156,11 +137,8 @@ class ReplyAttributor {
 
   void remember_resolved(net::ParsedProbe probe);
   void resolve_at(std::size_t index, bool canceled);
-  void drop_pending_count(Ticket ticket);
 
   std::vector<PendingSlot> pending_;
-  /// pending_ slot count per ticket, kept in lockstep with pending_.
-  std::unordered_map<Ticket, std::size_t> pending_per_ticket_;
   std::deque<ResolvedSlot> resolved_;
   std::vector<Completion> ready_;
   obs::Counter* expiry_counter_ = nullptr;

@@ -1,13 +1,13 @@
-// The transport seam: an asynchronous submit/completion queue in the
-// io_uring mould. A caller submits a window of probe datagrams under a
-// ticket, then polls for completions; replies surface as they arrive (or
-// as their deadline expires), in whatever order the network produces
-// them, tagged with (ticket, slot) so concurrent submitters can be
-// demultiplexed over one shared transport.
+// The transport seam: an asynchronous submit/completion queue. A caller
+// submits a window of probe datagrams under a ticket, then polls for
+// completions; replies surface as they arrive (or as their deadline
+// expires), in whatever order the network produces them, tagged with
+// (ticket, slot) so concurrent submitters can be demultiplexed over one
+// shared transport.
 //
 // This is the one probing interface: ProbeEngine drives it directly, and
-// every backend (SimulatedNetwork, RawSocketNetwork, IoUringNetwork) and
-// decorator (ThrottledNetwork, CancellableNetwork) implements it.
+// every backend (SimulatedNetwork, RawSocketNetwork) and decorator
+// (ThrottledNetwork, CancellableNetwork) implements it.
 //
 // Contract:
 //   * submit() ships `window` as one in-flight batch. Tickets are chosen

@@ -4,11 +4,10 @@
 // least one pending slot resolves and returns empty only when nothing is
 // pending, per-ticket deadlines expire unanswered slots, duplicate
 // probes resolve distinct slots, EINTR never wedges the receive loop —
-// are exercised against SimulatedNetwork, RawSocketNetwork (real kernel
-// loopback: a UDP probe at a closed port draws an ICMP port-unreachable,
-// a bound-but-unread UDP socket is a blackhole) and IoUringNetwork.
-// The raw backends need CAP_NET_RAW and the ring backend a kernel with
-// io_uring; when the environment lacks either, the leg SKIPS visibly
+// are exercised against SimulatedNetwork and RawSocketNetwork (real
+// kernel loopback: a UDP probe at a closed port draws an ICMP
+// port-unreachable, a bound-but-unread UDP socket is a blackhole). The
+// raw-socket leg needs CAP_NET_RAW; without it the leg SKIPS visibly
 // instead of silently passing.
 #include <gtest/gtest.h>
 
@@ -32,7 +31,6 @@
 #include "fakeroute/simulator.h"
 #include "net/packet.h"
 #include "obs/metrics.h"
-#include "probe/io_uring_network.h"
 #include "probe/raw_socket_network.h"
 #include "probe/simulated_network.h"
 #include "topology/reference.h"
@@ -87,13 +85,13 @@ class SimulatedHarness final : public TransportHarness {
   std::unique_ptr<SimulatedNetwork> network_;
 };
 
-/// Shared loopback plumbing for the two raw backends: probes travel
-/// 127.0.0.1 -> 127.0.0.1 (loopback ICMP generation is not rate-limited
-/// by Linux). The blackhole mode binds a UDP socket and never reads it:
-/// delivered datagrams are consumed without any ICMP.
-class LoopbackHarness : public TransportHarness {
+/// The poll backend over loopback: probes travel 127.0.0.1 -> 127.0.0.1
+/// (loopback ICMP generation is not rate-limited by Linux). The
+/// blackhole mode binds a UDP socket and never reads it: delivered
+/// datagrams are consumed without any ICMP.
+class RawSocketHarness final : public TransportHarness {
  public:
-  ~LoopbackHarness() override {
+  ~RawSocketHarness() override {
     if (sink_fd_ >= 0) ::close(sink_fd_);
   }
 
@@ -117,8 +115,18 @@ class LoopbackHarness : public TransportHarness {
       // datagram with ICMP destination-unreachable (port).
       dst_port_ = 48879;
     }
-    return make_network();
+    RawSocketNetwork::Config config;
+    config.reply_timeout = std::chrono::milliseconds(2000);
+    try {
+      network_ = std::make_unique<RawSocketNetwork>(config, registry_);
+    } catch (const SystemError& e) {
+      return std::string("raw sockets unavailable (needs CAP_NET_RAW): ") +
+             e.what();
+    }
+    return "";
   }
+
+  TransportQueue& network() override { return *network_; }
 
   std::vector<std::uint8_t> probe(std::uint16_t flow,
                                   std::uint16_t ip_id) override {
@@ -132,65 +140,16 @@ class LoopbackHarness : public TransportHarness {
     return net::build_udp_probe(spec);
   }
 
- protected:
-  /// Construct the backend; empty return = ready, else the skip reason.
-  [[nodiscard]] virtual std::string make_network() = 0;
-
-  std::chrono::milliseconds reply_timeout_{2000};
-  obs::MetricsRegistry registry_;
-
- private:
-  int sink_fd_ = -1;
-  std::uint16_t dst_port_ = 0;
-};
-
-class RawSocketHarness final : public LoopbackHarness {
- public:
-  TransportQueue& network() override { return *network_; }
   /// The poll backend's series `name` (transport="poll").
   [[nodiscard]] std::uint64_t counter(const std::string& name) {
     return registry_.counter(name, "", {{"transport", "poll"}})->value();
   }
 
- protected:
-  std::string make_network() override {
-    RawSocketNetwork::Config config;
-    config.reply_timeout = reply_timeout_;
-    try {
-      network_ = std::make_unique<RawSocketNetwork>(config, registry_);
-    } catch (const SystemError& e) {
-      return std::string("raw sockets unavailable (needs CAP_NET_RAW): ") +
-             e.what();
-    }
-    return "";
-  }
-
  private:
+  obs::MetricsRegistry registry_;
   std::unique_ptr<RawSocketNetwork> network_;
-};
-
-class IoUringHarness final : public LoopbackHarness {
- public:
-  TransportQueue& network() override { return *network_; }
-
- protected:
-  std::string make_network() override {
-    if (!IoUringNetwork::supported()) {
-      return "kernel lacks io_uring (io_uring_setup capability probe "
-             "failed) — poll fallback covers this host";
-    }
-    IoUringNetwork::Config config;
-    config.reply_timeout = reply_timeout_;
-    try {
-      network_ = std::make_unique<IoUringNetwork>(config, registry_);
-    } catch (const SystemError& e) {
-      return std::string("io_uring backend unavailable: ") + e.what();
-    }
-    return "";
-  }
-
- private:
-  std::unique_ptr<IoUringNetwork> network_;
+  int sink_fd_ = -1;
+  std::uint16_t dst_port_ = 0;
 };
 
 struct BackendParam {
@@ -387,10 +346,9 @@ TEST_P(TransportContract, PollSurvivesEintrStormWithoutWedging) {
   }
 }
 
-// A ticket whose window settled may be reused by the next submit. The
-// ring backend reaps a settled ticket's in-kernel deadline lazily, so the
-// canceled timeout's CQE can surface AFTER the ticket is reused; it must
-// be dropped as stale instead of expiring the fresh window.
+// A ticket whose window settled may be reused by the next submit: the
+// fresh window must draw its own replies, never inherit the settled
+// window's deadline or late replies.
 TEST_P(TransportContract, SubmitReusingASettledTicketDrawsFreshReplies) {
   setup(/*blackhole=*/false);
   reuse_ticket(/*ticket=*/9, /*size=*/3, /*rounds=*/3);
@@ -420,10 +378,6 @@ INSTANTIATE_TEST_SUITE_P(
         BackendParam{"RawSocket",
                      +[]() -> std::unique_ptr<TransportHarness> {
                        return std::make_unique<RawSocketHarness>();
-                     }},
-        BackendParam{"IoUring",
-                     +[]() -> std::unique_ptr<TransportHarness> {
-                       return std::make_unique<IoUringHarness>();
                      }}),
     [](const ::testing::TestParamInfo<BackendParam>& info) {
       return info.param.name;

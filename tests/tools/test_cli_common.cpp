@@ -95,8 +95,7 @@ TEST(UnknownFlags, OnlyOptionRowsDefineTheAcceptedSet) {
 }
 
 TEST(UnknownFlags, FleetBlockAcceptsExactlyItsDocumentedFlags) {
-  // The simulator-only fleet tools take no --transport (mmlpt_trace
-  // documents its own); the smoke tests cover the retired fleet flags
+  // No tool takes --transport; the smoke tests cover the retired flags
   // end to end.
   EXPECT_EQ(usage_flag_names(fleet_options_usage()),
             (std::set<std::string>{"burst", "fsync", "jobs", "metrics-out",
@@ -145,29 +144,6 @@ TEST(FleetOptionsParsing, CarriesTheStopSetPair) {
   EXPECT_EQ(options.jobs, 3);
   EXPECT_EQ(options.stop_set.topology_cache, "warm.mtps");
   EXPECT_TRUE(options.stop_set.consult);
-}
-
-TEST(ParseTransport, DefaultsToAutoAndRejectsUnknownBackends) {
-  EXPECT_EQ(parse_transport(make_flags({})), probe::TransportKind::kAuto);
-  EXPECT_EQ(parse_transport(make_flags({"--transport", "auto"})),
-            probe::TransportKind::kAuto);
-  EXPECT_EQ(parse_transport(make_flags({"--transport", "poll"})),
-            probe::TransportKind::kPoll);
-  EXPECT_EQ(parse_transport(make_flags({"--transport", "uring"})),
-            probe::TransportKind::kUring);
-  EXPECT_THROW((void)parse_transport(make_flags({"--transport", "dpdk"})),
-               ConfigError);
-}
-
-TEST(TransportNames, RoundTripAndResolveToARealBackend) {
-  EXPECT_EQ(probe::transport_name(probe::TransportKind::kPoll),
-            std::string("poll"));
-  EXPECT_EQ(probe::transport_name(probe::TransportKind::kUring),
-            std::string("uring"));
-  // auto resolves to whatever this kernel supports — never "auto".
-  const std::string resolved(
-      probe::resolved_transport_name(probe::TransportKind::kAuto));
-  EXPECT_TRUE(resolved == "poll" || resolved == "uring") << resolved;
 }
 
 TEST(ParseAlgorithm, KnowsEveryNameAndRejectsTheRest) {

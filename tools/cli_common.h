@@ -27,7 +27,6 @@
 #include "obs/metrics.h"
 #include "obs/trace_events.h"
 #include "orchestrator/stop_set.h"
-#include "probe/transport_select.h"
 
 #ifndef MMLPT_GIT_DESCRIBE
 #define MMLPT_GIT_DESCRIBE "unknown"
@@ -89,21 +88,6 @@ inline int parse_window(const Flags& flags) {
   const auto window = static_cast<int>(flags.get_int("window", 1));
   if (window < 1) throw ConfigError("--window must be >= 1");
   return window;
-}
-
-/// --transport auto|poll|uring (default auto): the real-network backend
-/// of mmlpt_trace --real, the one CLI that can touch the wire. `auto`
-/// resolves through the kernel capability probe (see
-/// probe/transport_select.h); the resolved choice is echoed in the
-/// summary so scripts can tell which backend actually ran.
-inline probe::TransportKind parse_transport(const Flags& flags) {
-  const std::string name = flags.get("transport", "auto");
-  const auto kind = probe::parse_transport_name(name);
-  if (!kind) {
-    throw ConfigError("unknown --transport '" + name +
-                      "' (auto|poll|uring)");
-  }
-  return *kind;
 }
 
 /// The Doubletree stop-set flag pair shared by every tracing CLI.

@@ -68,11 +68,7 @@ constexpr const char kUsage[] =
     "  --real --destination IP       raw sockets (needs CAP_NET_RAW)\n"
     "  --source IP                   source address for --real (default\n"
     "                                0.0.0.0; IPv6 requires an explicit\n"
-    "                                source)\n"
-    "  --transport T                 auto | poll | uring backend for\n"
-    "                                --real (default auto; the resolved\n"
-    "                                choice is echoed in the JSON summary\n"
-    "                                line on stderr)\n";
+    "                                source)\n";
 
 constexpr const char kUsageSuffix[] =
     "  --version            print version and exit\n";
@@ -210,10 +206,7 @@ int run(const Flags& flags) {
 
   const bool json = flags.get_bool("json", false);
 
-  // Transport: raw sockets (--real) or the Fakeroute simulator. The
-  // --transport value is validated even in simulator mode so a typo is
-  // caught before a run that would silently ignore it.
-  const auto transport = tools::parse_transport(flags);
+  // Transport: raw sockets (--real) or the Fakeroute simulator.
   std::unique_ptr<probe::TransportQueue> network;
   std::unique_ptr<fakeroute::Simulator> simulator;
   probe::ProbeEngine::Config engine_config;
@@ -234,9 +227,8 @@ int run(const Flags& flags) {
       throw ConfigError("--real -6 needs an explicit --source address "
                         "(IPv6 raw probes carry the crafted source)");
     }
-    network = probe::make_transport(
-        transport, family, probe::RawSocketNetwork::Config{}.reply_timeout,
-        obs.registry());
+    network = std::make_unique<probe::RawSocketNetwork>(
+        probe::RawSocketNetwork::Config{.family = family}, obs.registry());
   } else {
     truth = load_ground_truth(flags, family);
     simulator = std::make_unique<fakeroute::Simulator>(
@@ -248,17 +240,14 @@ int run(const Flags& flags) {
   engine_config.metrics = &obs.registry();
   probe::ProbeEngine engine(*network, engine_config);
 
-  // The shared machine-parsable summary (replaces the old bare
-  // "transport=..." stderr echo): transport choice, packet count, the
+  // The shared machine-parsable summary: transport, packet count, the
   // stop-set object when a cache is in use, and non-zero counters.
   const bool real = flags.get_bool("real", false);
   const auto print_summary = [&](std::uint64_t packets,
                                  std::uint64_t probes_saved,
                                  std::uint64_t traces_stopped) {
     tools::SummaryLine("mmlpt_trace")
-        .field("transport",
-               real ? std::string(probe::resolved_transport_name(transport))
-                    : std::string("sim"))
+        .field("transport", real ? "poll" : "sim")
         .field("packets", packets)
         .stop_set(stop_set_session, probes_saved, traces_stopped)
         .metrics(obs.registry())
