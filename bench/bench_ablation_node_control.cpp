@@ -82,16 +82,6 @@ void experiment(const Flags& flags) {
   cmp.print();
 }
 
-void BM_NodeControlWidth32(benchmark::State& state) {
-  const auto truth = core::plain_ground_truth(two_stage_diamond(32, 200));
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::run_trace(truth, core::Algorithm::kMda, {}, {}, seed++));
-  }
-}
-BENCHMARK(BM_NodeControlWidth32)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {

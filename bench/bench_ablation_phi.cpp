@@ -60,18 +60,6 @@ void experiment(const Flags& flags) {
   cmp.print();
 }
 
-void BM_MeshingTestPhi4(benchmark::State& state) {
-  const auto truth = core::plain_ground_truth(topo::symmetric_diamond());
-  core::TraceConfig config;
-  config.phi = 4;
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::run_trace(truth, core::Algorithm::kMdaLite, config, {}, seed++));
-  }
-}
-BENCHMARK(BM_MeshingTestPhi4)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {

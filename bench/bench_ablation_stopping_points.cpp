@@ -70,14 +70,6 @@ void experiment(const Flags& flags) {
   cmp.print();
 }
 
-void BM_StoppingPointTable(benchmark::State& state) {
-  for (auto _ : state) {
-    const auto sp = core::StoppingPoints::for_global(0.05, 30);
-    benchmark::DoNotOptimize(sp.table(100));
-  }
-}
-BENCHMARK(BM_StoppingPointTable);
-
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -89,28 +89,6 @@ void experiment(const Flags& flags) {
   cmp.print();
 }
 
-void BM_MdaTraceUnmeshed(benchmark::State& state) {
-  const auto truth = core::plain_ground_truth(topo::prepend_source(
-      topo::fig1_unmeshed(), net::Ipv4Address(192, 168, 0, 1)));
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::run_trace(truth, core::Algorithm::kMda,
-                                             veitch_config(), {}, seed++));
-  }
-}
-BENCHMARK(BM_MdaTraceUnmeshed)->Unit(benchmark::kMicrosecond);
-
-void BM_MdaLiteTraceUnmeshed(benchmark::State& state) {
-  const auto truth = core::plain_ground_truth(topo::prepend_source(
-      topo::fig1_unmeshed(), net::Ipv4Address(192, 168, 0, 1)));
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::run_trace(
-        truth, core::Algorithm::kMdaLite, veitch_config(), {}, seed++));
-  }
-}
-BENCHMARK(BM_MdaLiteTraceUnmeshed)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {

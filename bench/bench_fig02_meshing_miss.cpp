@@ -4,7 +4,6 @@
 // meshed hop pairs and <= 0.25 for ~95%, in both weightings.
 #include "bench_util.h"
 #include "survey/ip_survey.h"
-#include "topology/reference.h"
 
 namespace {
 
@@ -57,14 +56,6 @@ void experiment(const Flags& flags) {
   }
   cmp.print();
 }
-
-void BM_MeshingMissAnalytic(benchmark::State& state) {
-  const auto g = topo::fig6_right();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(topo::meshing_miss_probability(g, 1, 2));
-  }
-}
-BENCHMARK(BM_MeshingMissAnalytic);
 
 }  // namespace
 

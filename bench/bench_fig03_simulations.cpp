@@ -111,16 +111,6 @@ void experiment(const Flags& flags) {
   cmp.print();
 }
 
-void BM_MeshedDiamondMdaTrace(benchmark::State& state) {
-  const auto truth = core::plain_ground_truth(topo::meshed_diamond());
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::run_trace(truth, core::Algorithm::kMda, {}, {}, seed++));
-  }
-}
-BENCHMARK(BM_MeshedDiamondMdaTrace)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -71,18 +71,6 @@ void experiment(const Flags& flags) {
   cmp.print();
 }
 
-void BM_EvaluationPair(benchmark::State& state) {
-  survey::EvaluationConfig config;
-  config.pairs = 1;
-  config.distinct_diamonds = 8;
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    config.seed = seed++;
-    benchmark::DoNotOptimize(survey::run_evaluation(config));
-  }
-}
-BENCHMARK(BM_EvaluationPair)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {

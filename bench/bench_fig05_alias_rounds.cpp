@@ -46,19 +46,6 @@ void experiment(const Flags& flags) {
   cmp.print();
 }
 
-void BM_MultilevelTrace(benchmark::State& state) {
-  survey::AliasEvalConfig config;
-  config.routes = 1;
-  config.distinct_diamonds = 6;
-  config.multilevel.rounds = 10;
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    config.seed = seed++;
-    benchmark::DoNotOptimize(survey::run_alias_eval(config));
-  }
-}
-BENCHMARK(BM_MultilevelTrace)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -3,7 +3,6 @@
 // weightings, with a thin tail out to ~50.
 #include "bench_util.h"
 #include "survey/ip_survey.h"
-#include "topology/reference.h"
 
 namespace {
 
@@ -40,14 +39,6 @@ void experiment(const Flags& flags) {
           d.width_asymmetry.portion(0), 2);
   cmp.print();
 }
-
-void BM_AsymmetryMetric(benchmark::State& state) {
-  const auto g = topo::asymmetric_diamond();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(topo::compute_metrics(g));
-  }
-}
-BENCHMARK(BM_AsymmetryMetric);
 
 }  // namespace
 

@@ -5,7 +5,6 @@
 // <= 0.5 for 99% of both.
 #include "bench_util.h"
 #include "survey/ip_survey.h"
-#include "topology/reference.h"
 
 namespace {
 
@@ -66,14 +65,6 @@ void experiment(const Flags& flags) {
     cmp.print();
   }
 }
-
-void BM_ReachProbabilities(benchmark::State& state) {
-  const auto g = topo::asymmetric_diamond();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(g.reach_probabilities());
-  }
-}
-BENCHMARK(BM_ReachProbabilities);
 
 }  // namespace
 

@@ -5,7 +5,6 @@
 // (32,430 / 220,193 measured and 19,138 / 60,921 distinct diamonds).
 #include "bench_util.h"
 #include "survey/ip_survey.h"
-#include "topology/reference.h"
 
 namespace {
 
@@ -54,16 +53,6 @@ void experiment(const Flags& flags) {
   }
   cmp.print();
 }
-
-void BM_MeshingPredicate(benchmark::State& state) {
-  const auto g = topo::meshed_diamond();
-  for (auto _ : state) {
-    for (std::uint16_t h = 0; h + 1 < g.hop_count(); ++h) {
-      benchmark::DoNotOptimize(topo::hops_meshed(g, h));
-    }
-  }
-}
-BENCHMARK(BM_MeshingPredicate);
 
 }  // namespace
 

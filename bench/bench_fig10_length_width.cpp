@@ -4,7 +4,6 @@
 // reported by earlier surveys — with distinctive peaks at 48 and 56.
 #include "bench_util.h"
 #include "survey/ip_survey.h"
-#include "topology/reference.h"
 
 namespace {
 
@@ -57,15 +56,6 @@ void experiment(const Flags& flags) {
           m.max_width.portion(56) > m.max_width.portion(55) ? "yes" : "no");
   cmp.print();
 }
-
-void BM_DiamondExtraction(benchmark::State& state) {
-  topo::SurveyWorld world(topo::GeneratorConfig{}, 50, 1);
-  const auto route = world.next_route();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(topo::extract_diamonds(route.graph));
-  }
-}
-BENCHMARK(BM_DiamondExtraction);
 
 }  // namespace
 

@@ -4,7 +4,6 @@
 // modes appear across a variety of lengths.
 #include "bench_util.h"
 #include "survey/ip_survey.h"
-#include "topology/reference.h"
 
 namespace {
 
@@ -52,15 +51,6 @@ void experiment(const Flags& flags) {
           std::to_string(lengths_with_width48));
   cmp.print();
 }
-
-void BM_JointAccounting(benchmark::State& state) {
-  survey::DiamondAccounting acc(2);
-  const auto g = topo::fig6_right();
-  for (auto _ : state) {
-    acc.record_all(g);
-  }
-}
-BENCHMARK(BM_JointAccounting);
 
 }  // namespace
 

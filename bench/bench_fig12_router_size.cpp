@@ -58,15 +58,6 @@ void experiment(const Flags& flags) {
   cmp.print();
 }
 
-void BM_RouterLevelMerge(benchmark::State& state) {
-  topo::RouteGenerator gen(topo::GeneratorConfig{}, 5);
-  const auto route = gen.make_route();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(route.router_level_graph());
-  }
-}
-BENCHMARK(BM_RouterLevelMerge);
-
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -49,19 +49,6 @@ void experiment(const Flags& flags) {
   cmp.print();
 }
 
-void BM_RouterSurveyRoute(benchmark::State& state) {
-  survey::RouterSurveyConfig config;
-  config.routes = 1;
-  config.distinct_diamonds = 6;
-  config.multilevel.rounds = 3;
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    config.seed = seed++;
-    benchmark::DoNotOptimize(survey::run_router_survey(config));
-  }
-}
-BENCHMARK(BM_RouterSurveyRoute)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {

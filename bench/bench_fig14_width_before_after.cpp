@@ -59,17 +59,6 @@ void experiment(const Flags& flags) {
   cmp.print();
 }
 
-void BM_Histogram2D(benchmark::State& state) {
-  Histogram2D h;
-  std::int64_t i = 0;
-  for (auto _ : state) {
-    h.add(i % 96, (i / 2) % 96);
-    ++i;
-  }
-  benchmark::DoNotOptimize(h.total());
-}
-BENCHMARK(BM_Histogram2D);
-
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -59,19 +59,6 @@ void experiment(const Flags& flags) {
   cmp.print();
 }
 
-void BM_SingleValidationRun(benchmark::State& state) {
-  const auto truth = core::plain_ground_truth(topo::simplest_diamond());
-  core::TraceConfig trace;
-  trace.alpha = 0.05;
-  trace.max_branching = 1;
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::run_trace(truth, core::Algorithm::kMda, trace, {}, seed++));
-  }
-}
-BENCHMARK(BM_SingleValidationRun)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {

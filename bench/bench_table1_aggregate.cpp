@@ -61,16 +61,6 @@ void experiment(const Flags& flags) {
   cmp.print();
 }
 
-void BM_AggregateUnion(benchmark::State& state) {
-  survey::EvaluationConfig config;
-  config.pairs = 5;
-  config.distinct_diamonds = 10;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(survey::run_evaluation(config));
-  }
-}
-BENCHMARK(BM_AggregateUnion)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -58,19 +58,6 @@ void experiment(const Flags& flags) {
   cmp.print();
 }
 
-void BM_DirectProbePass(benchmark::State& state) {
-  survey::AliasEvalConfig config;
-  config.routes = 1;
-  config.distinct_diamonds = 5;
-  config.multilevel.rounds = 2;
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    config.seed = seed++;
-    benchmark::DoNotOptimize(survey::run_alias_eval(config));
-  }
-}
-BENCHMARK(BM_DirectProbePass)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -55,19 +55,6 @@ void experiment(const Flags& flags) {
   cmp.print();
 }
 
-void BM_ClassifyResolution(benchmark::State& state) {
-  topo::RouteGenerator gen(topo::GeneratorConfig{}, 5);
-  const auto tmpl = gen.make_diamond();
-  const auto merged = tmpl.truth.router_level_graph();
-  const topo::Diamond d{0, static_cast<std::uint16_t>(
-                               tmpl.truth.graph.hop_count() - 1)};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        survey::classify_resolution(tmpl.truth.graph, merged, d));
-  }
-}
-BENCHMARK(BM_ClassifyResolution);
-
 }  // namespace
 
 int main(int argc, char** argv) {

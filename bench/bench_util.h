@@ -1,11 +1,8 @@
 // Shared scaffolding for the per-figure/per-table bench binaries: flag
-// parsing, paper-vs-measured reporting, and google-benchmark glue. Every
-// binary prints the rows/series its paper figure or table reports, then
-// runs its registered microbenchmarks.
+// parsing and paper-vs-measured reporting. Every binary prints the
+// rows/series its paper figure or table reports and exits.
 #ifndef MMLPT_BENCH_BENCH_UTIL_H
 #define MMLPT_BENCH_BENCH_UTIL_H
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <functional>
@@ -62,9 +59,8 @@ inline void print_header(const std::string& title, const Flags& flags,
   std::printf("==================================================\n");
 }
 
-/// Run the experiment body, then google-benchmark. `argc/argv` are handed
-/// to google-benchmark after our flags are consumed (it ignores unknown
-/// flags preceded by our own parsing).
+/// Run the experiment body: 0 when it completes, 1 (with the reason on
+/// stderr) when it throws.
 inline int run_bench_main(int argc, char** argv,
                           const std::function<void(const Flags&)>& body) {
   const Flags flags(argc, argv);
@@ -74,9 +70,6 @@ inline int run_bench_main(int argc, char** argv,
     std::fprintf(stderr, "experiment failed: %s\n", e.what());
     return 1;
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }
 

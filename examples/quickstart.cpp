@@ -58,8 +58,10 @@ int main(int argc, char** argv) {
       // Real-network mode: requires root; traces toward --destination.
       const auto destination = net::Ipv4Address::parse_or_throw(
           flags.get("destination", "192.0.2.1"));
-      const auto source = net::Ipv4Address::parse_or_throw(
-          flags.get("source", "0.0.0.0"));
+      const auto source =
+          flags.has("source")
+              ? net::Ipv4Address::parse_or_throw(flags.get("source", ""))
+              : probe::route_source(destination);
       obs::MetricsRegistry registry;
       probe::RawSocketNetwork network({}, registry);
       probe::ProbeEngine::Config config;

@@ -10,11 +10,11 @@
 namespace mmlpt {
 
 /// Parses flags of the form `--name=value` or `--name value`; anything else
-/// is kept as a positional argument. Unknown flags are allowed (benches
-/// forward leftover args to google-benchmark); a tool that rejects them
-/// checks names() against the flags it takes. The bare family switches
-/// `-4` / `-6` are recognised anywhere and map to `--family 4|6` (last
-/// one wins), so they never get consumed as another flag's value.
+/// is kept as a positional argument. Unknown flags are allowed (the benches
+/// ignore them); a tool that rejects them checks names() against the flags
+/// it takes. The bare family switches `-4` / `-6` are recognised anywhere
+/// and map to `--family 4|6` (last one wins), so they never get consumed as
+/// another flag's value.
 class Flags {
  public:
   Flags(int argc, char** argv);

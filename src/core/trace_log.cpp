@@ -86,8 +86,10 @@ topo::MultipathGraph DiscoveryRecorder::to_graph() const {
   topo::MultipathGraph g;
   for (int h = 0; h < hop_count(); ++h) {
     g.add_hop();
+    // A repeated address (a trace to the source itself, a routing loop)
+    // keeps its first hop; edges at later hops find no vertex for it.
     for (const auto addr : vertices_[static_cast<std::size_t>(h)]) {
-      (void)g.add_vertex(static_cast<std::uint16_t>(h), addr);
+      (void)g.try_add_vertex(static_cast<std::uint16_t>(h), addr);
     }
   }
   for (int h = 0; h + 1 < hop_count(); ++h) {

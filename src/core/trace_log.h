@@ -56,6 +56,8 @@ class DiscoveryRecorder {
 
   /// Materialise the discovered topology. Unreachable bookkeeping is
   /// dropped; the graph is NOT validated (partial discovery is normal).
+  /// An address recorded at several hops is placed at its first hop only,
+  /// and the edges touching its later occurrences are dropped.
   [[nodiscard]] topo::MultipathGraph to_graph() const;
 
  private:

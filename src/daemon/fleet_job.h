@@ -8,7 +8,7 @@
 //
 // The scheduler is a parameter, not a local: the daemon constructs ONE
 // FleetScheduler (owning the fleet-wide RateLimiter) and runs every
-// tenant's jobs through it, concurrently — FleetScheduler::run is
+// tenant's jobs through it, concurrently — run_streaming is
 // re-entrant (see fleet.h), per-job determinism comes from the spec's
 // seed alone, and the shared limiter makes "packets per second" mean
 // DAEMON packets across all tenants.

@@ -2,7 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
-#include <deque>
+#include <optional>
 #include <utility>
 
 #include <fcntl.h>
@@ -31,11 +31,11 @@ void set_cloexec(int fd) { ::fcntl(fd, F_SETFD, FD_CLOEXEC); }
 // ---- Connection --------------------------------------------------------
 
 /// One accepted client: a reader thread decoding request frames and a
-/// worker thread running that client's jobs (serialized per connection,
-/// concurrent across connections through the shared scheduler). All
-/// daemon->client frames go through send(), which serializes writes and
-/// latches peer_gone_ on the first failed write so a vanished client
-/// cancels its own job instead of wedging the daemon.
+/// worker thread running that client's job (one at a time per
+/// connection, concurrent across connections through the shared
+/// scheduler). All daemon->client frames go through send(), which
+/// serializes writes and latches peer_gone_ on the first failed write so
+/// a vanished client cancels its own job instead of wedging the daemon.
 class Daemon::Connection {
  public:
   Connection(Daemon& daemon, int fd)
@@ -134,7 +134,7 @@ class Daemon::Connection {
     if (!is_known_frame_type(frame.type)) return;  // skip, don't refuse
     switch (static_cast<FrameType>(frame.type)) {
       case FrameType::kJobRequest:
-        enqueue_job(decode_job_request(frame));
+        accept_job(decode_job_request(frame));
         return;
       case FrameType::kCancel:
         cancel_job(decode_cancel(frame).job_id);
@@ -152,25 +152,29 @@ class Daemon::Connection {
     }
   }
 
-  void enqueue_job(JobRequest request) {
+  /// Hand the job to the worker, or refuse it with kRejected when this
+  /// connection already has one (the client waits for each JobStatus
+  /// before its next request, so nothing is queued daemon-side).
+  void accept_job(JobRequest request) {
     std::optional<JobStatus> refusal;
     {
       const MutexLock lock(job_mutex_);
-      const auto queued = static_cast<int>(queue_.size());
       if (worker_stop_) {
         refusal = JobStatus{request.job_id, JobOutcome::kRejected,
                             "daemon shutting down", 0, 0};
-      } else if (job_active_ &&
-                 queued >= daemon_.config_.max_queued_jobs_per_connection) {
+      } else if (job_active_) {
         refusal = JobStatus{request.job_id, JobOutcome::kRejected,
-                            "connection job queue full (max " +
-                                std::to_string(
-                                    daemon_.config_
-                                        .max_queued_jobs_per_connection) +
-                                ")",
-                            0, 0};
+                            "connection busy: one job at a time", 0, 0};
       } else {
-        queue_.push_back(std::move(request));
+        job_active_ = true;
+        active_job_id_ = request.job_id;
+        active_cancel_ = std::make_shared<probe::CancelToken>();
+        // relaxed: latched flag; a write already failed, so no one would
+        // read this job's frames. A missed read is caught by send().
+        if (peer_gone_.load(std::memory_order_relaxed)) {
+          active_cancel_->request();
+        }
+        pending_ = std::move(request);
       }
     }
     if (refusal) {
@@ -181,60 +185,39 @@ class Daemon::Connection {
   }
 
   void cancel_job(std::uint64_t job_id) {
-    bool canceled_queued = false;
-    {
-      const MutexLock lock(job_mutex_);
-      if (job_active_ && active_job_id_ == job_id) {
-        active_cancel_->request();
-        return;
-      }
-      for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        if (it->job_id == job_id) {
-          queue_.erase(it);
-          canceled_queued = true;
-          break;
-        }
-      }
-    }
-    if (canceled_queued) {
-      send(encode_job_status({job_id, JobOutcome::kCanceled,
-                              "canceled before start", 0, 0}));
-    }
+    const MutexLock lock(job_mutex_);
+    if (job_active_ && active_job_id_ == job_id) active_cancel_->request();
     // Unknown id: the job already finished — its final status frame is
     // on the wire or gone; nothing to do.
   }
 
+  /// Runs each accepted job. An accepted job always runs to its status
+  /// (drain); stop_worker() only ends the loop once nothing is pending.
   void worker_loop() {
     for (;;) {
       JobRequest request;
+      std::shared_ptr<probe::CancelToken> cancel;
       {
         MutexLock lock(job_mutex_);
-        while (!worker_stop_ && queue_.empty()) job_cv_.wait(job_mutex_);
-        if (worker_stop_) break;  // queue was cleared by stop_worker
-        request = std::move(queue_.front());
-        queue_.pop_front();
+        while (!worker_stop_ && !pending_) job_cv_.wait(job_mutex_);
+        if (!pending_) break;
+        request = std::move(*pending_);
+        pending_.reset();
+        cancel = active_cancel_;
       }
-      run_one_job(request);
+      send(encode_job_status(run_one_job(request, *cancel)));
     }
   }
 
-  void run_one_job(const JobRequest& request) {
+  /// Run one accepted job and return its final status, with the
+  /// connection already free for the next request.
+  [[nodiscard]] JobStatus run_one_job(const JobRequest& request,
+                                      probe::CancelToken& cancel) {
     AdmissionTicket ticket = daemon_.admission_.try_admit(tenant_);
     if (!ticket.admitted) {
       daemon_.jobs_refused_->add();
-      send(encode_job_status({request.job_id, JobOutcome::kRejected,
-                              ticket.reason, 0, 0}));
-      return;
-    }
-    auto cancel = std::make_shared<probe::CancelToken>();
-    {
-      const MutexLock lock(job_mutex_);
-      job_active_ = true;
-      active_job_id_ = request.job_id;
-      active_cancel_ = cancel;
-      // relaxed: latched flag; CancelToken::request carries its own
-      // synchronization, and a missed read here is caught by send().
-      if (peer_gone_.load(std::memory_order_relaxed)) cancel->request();
+      finish_job();
+      return {request.job_id, JobOutcome::kRejected, ticket.reason, 0, 0};
     }
 
     JobStatus status;
@@ -245,7 +228,7 @@ class Daemon::Connection {
 
     FleetJobHooks hooks;
     hooks.tenant_limiter = ticket.limiter;
-    hooks.cancel = cancel.get();
+    hooks.cancel = &cancel;
     hooks.on_line = [&](std::size_t, std::string line) {
       ++lines;
       send(encode_result_line({request.job_id, std::move(line)}));
@@ -283,41 +266,34 @@ class Daemon::Connection {
     status.lines = lines;
 
     daemon_.admission_.release(tenant_);
-    {
-      const MutexLock lock(job_mutex_);
-      job_active_ = false;
-      active_cancel_.reset();
-    }
-    send(encode_job_status(status));
+    finish_job();
+    return status;
   }
 
-  /// Stop the worker. A disconnected peer's RUNNING job is canceled (no
-  /// one is listening); on daemon shutdown it drains to completion.
-  /// Queued jobs are dropped either way, with a canceled status when the
-  /// peer can still hear it.
+  /// Free the connection for its next job; runs before the job's final
+  /// status is sent, so a client that answers it at once is not refused.
+  void finish_job() {
+    const MutexLock lock(job_mutex_);
+    job_active_ = false;
+    active_cancel_.reset();
+  }
+
+  /// Stop the worker. A disconnected peer's job is canceled (no one is
+  /// listening); on daemon shutdown it drains to completion.
   void stop_worker(bool peer_disconnected) {
-    std::vector<std::uint64_t> dropped;
     {
       const MutexLock lock(job_mutex_);
-      for (const auto& queued : queue_) dropped.push_back(queued.job_id);
-      queue_.clear();
       if (peer_disconnected) {
         // relaxed: latched flag; readers only use it to suppress writes
         // to a peer that is already gone, so no ordering is needed.
         peer_gone_.store(true, std::memory_order_relaxed);
         if (active_cancel_) active_cancel_->request();
       }
-      // The worker only checks this between jobs, so a RUNNING job
+      // The worker only checks this between jobs, so an accepted job
       // always finishes (drain) — unless the token above aborts it.
       worker_stop_ = true;
     }
     job_cv_.notify_all();
-    if (!peer_disconnected) {
-      for (const auto id : dropped) {
-        send(encode_job_status(
-            {id, JobOutcome::kCanceled, "daemon shutting down", 0, 0}));
-      }
-    }
     if (worker_.joinable()) worker_.join();
   }
 
@@ -349,12 +325,14 @@ class Daemon::Connection {
 
   Mutex write_mutex_;  ///< serializes write_frame on fd_
 
-  // Job state: one running job + a bounded queue, guarded by job_mutex_.
-  // Lock order: write_mutex_ before job_mutex_ (see send()); never the
-  // reverse — every status send happens with job_mutex_ released.
+  // Job state: at most one accepted job, guarded by job_mutex_. It is
+  // active from accept_job() until finish_job(); pending_ holds it until
+  // the worker picks it up. Lock order: write_mutex_ before job_mutex_
+  // (see send()); never the reverse — every status send happens with
+  // job_mutex_ released.
   Mutex job_mutex_;
   CondVar job_cv_;
-  std::deque<JobRequest> queue_ MMLPT_GUARDED_BY(job_mutex_);
+  std::optional<JobRequest> pending_ MMLPT_GUARDED_BY(job_mutex_);
   bool worker_stop_ MMLPT_GUARDED_BY(job_mutex_) = false;
   bool job_active_ MMLPT_GUARDED_BY(job_mutex_) = false;
   std::uint64_t active_job_id_ MMLPT_GUARDED_BY(job_mutex_) = 0;
@@ -500,8 +478,8 @@ void Daemon::stop() {
   }
   ::unlink(config_.socket_path.c_str());
   {
-    // Drain: connection threads finish their RUNNING jobs, drop queued
-    // ones, and exit; join them all.
+    // Drain: connection threads finish their accepted jobs and exit;
+    // join them all.
     const MutexLock lock(connections_mutex_);
     for (auto& connection : connections_) connection->join();
     connections_.clear();

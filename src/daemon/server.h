@@ -8,13 +8,13 @@
 //   * one accept thread polls { listen fd, shutdown pipe };
 //   * one thread per connection polls { conn fd, shutdown pipe } and
 //     decodes request frames;
-//   * each admitted job runs on its own thread through the SHARED
-//     scheduler (FleetScheduler::run is re-entrant; per-job determinism
-//     comes from the job spec's seed alone), streaming ResultLine /
-//     Progress frames back under a per-connection write mutex;
-//   * jobs submitted while one is running queue per connection, bounded
-//     — overflow is refused with a kRejected status, never buffered
-//     unboundedly.
+//   * each connection runs one job at a time on its worker thread,
+//     through the SHARED scheduler (per-job determinism comes from the
+//     job spec's seed alone), streaming ResultLine / Progress frames back
+//     under a per-connection write mutex;
+//   * a JobRequest that arrives while the connection's job is running is
+//     refused with a kRejected status (daemon::Client waits for each
+//     JobStatus before its next request), so nothing queues daemon-side.
 //
 // Cancellation: a kCancel frame (or the client disconnecting) fires the
 // job's probe::CancelToken; in-flight tickets resolve through
@@ -22,7 +22,7 @@
 // other tenants' jobs never notice.
 //
 // Shutdown (stop()): close the listener, wake every connection thread
-// through the shutdown pipe, SHUT_RDWR idle connections, let RUNNING
+// through the shutdown pipe, SHUT_RDWR idle connections, let accepted
 // jobs finish (drain, not abort), join everything, flush the
 // StopSetSession, unlink the socket.
 #ifndef MMLPT_DAEMON_SERVER_H
@@ -55,8 +55,6 @@ struct DaemonConfig {
   std::string topology_cache;
   bool consult_stop_set = true;
   fakeroute::SimConfig sim;
-  /// Jobs a connection may have queued behind its running one.
-  int max_queued_jobs_per_connection = 4;
 };
 
 class Daemon {

@@ -20,8 +20,8 @@
 // (survey::TraceTransport).
 //
 // Lifetime / re-entrancy: a FleetScheduler is NOT tied to a single run.
-// run() and run_streaming() keep every piece of mutable state local to
-// the call (base_rng_ is only fork()ed, never drawn from; the limiter is
+// run_streaming() keeps every piece of mutable state local to the call
+// (base_rng_ is only fork()ed, never drawn from; the limiter is
 // internally synchronized), so a long-lived scheduler — the mmlptd
 // daemon owns exactly one — may execute MANY runs concurrently from
 // different threads. Each run's determinism still holds
@@ -40,7 +40,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "common/assert.h"
 #include "common/mutex.h"
 #include "common/rng.h"
 #include "common/thread_annotations.h"
@@ -85,59 +84,20 @@ class FleetScheduler {
   }
 
   /// Run tasks 0..task_count-1 through `trace` (callable on
-  /// WorkerContext&, returning the per-task result). Returns all results
-  /// in task order. `trace` runs concurrently on up to `jobs` threads;
-  /// everything it touches besides its context must be immutable or
-  /// task-private.
-  template <typename TraceFn>
-  [[nodiscard]] auto run(std::size_t task_count, TraceFn&& trace)
-      -> std::vector<std::invoke_result_t<TraceFn&, WorkerContext&>> {
-    return run(task_count, trace,
-               [](std::size_t, std::invoke_result_t<TraceFn&, WorkerContext&>&) {});
-  }
-
-  /// Same, with streaming: `on_result(index, result&)` fires exactly once
-  /// per task, in strictly increasing index order, while the fleet is
-  /// still running (an internal reorder buffer holds back early
-  /// finishers). It runs serialized — one call at a time — so it may
-  /// write to shared sinks without locking, but must not block for long.
-  template <typename TraceFn, typename OnResult>
-  [[nodiscard]] auto run(std::size_t task_count, TraceFn&& trace,
-                         OnResult&& on_result)
-      -> std::vector<std::invoke_result_t<TraceFn&, WorkerContext&>> {
-    return run_impl(task_count, trace, on_result, /*keep_results=*/true);
-  }
-
-  /// Streaming-only: every result is consumed by `on_result` (same
-  /// ordering/serialization contract as run) and then dropped — nothing
-  /// is retained or returned, so a survey's peak memory tracks the
-  /// in-flight window rather than the task count. This is the shape all
-  /// merge-at-join callers use.
+  /// WorkerContext&, returning the per-task result). `trace` runs
+  /// concurrently on up to `jobs` threads; everything it touches besides
+  /// its context must be immutable or task-private.
+  ///
+  /// `on_result(index, result&)` fires exactly once per task, in strictly
+  /// increasing index order, while the fleet is still running (an
+  /// internal reorder buffer holds back early finishers). It runs
+  /// serialized — one call at a time — so it may write to shared sinks
+  /// without locking, but must not block for long. Each result is
+  /// dropped once consumed, so a survey's peak memory tracks the
+  /// in-flight window rather than the task count.
   template <typename TraceFn, typename OnResult>
   void run_streaming(std::size_t task_count, TraceFn&& trace,
                      OnResult&& on_result) {
-    (void)run_impl(task_count, trace, on_result, /*keep_results=*/false);
-  }
-
- private:
-  /// Shared state of one parallel run_impl call — a per-run local (run()
-  /// is re-entrant), typed as a struct rather than loose locals so the
-  /// guarded-field discipline is compiler-checked: the thread safety
-  /// analysis tracks annotated members, never function locals.
-  template <typename R>
-  struct DrainState {
-    Mutex mutex;
-    std::vector<std::optional<R>> slots MMLPT_GUARDED_BY(mutex);
-    std::size_t next_emit MMLPT_GUARDED_BY(mutex) = 0;
-    /// Exactly one worker drains the reorder buffer at a time.
-    bool draining MMLPT_GUARDED_BY(mutex) = false;
-    std::exception_ptr first_error MMLPT_GUARDED_BY(mutex);
-  };
-
-  template <typename TraceFn, typename OnResult>
-  [[nodiscard]] auto run_impl(std::size_t task_count, TraceFn&& trace,
-                              OnResult&& on_result, bool keep_results)
-      -> std::vector<std::invoke_result_t<TraceFn&, WorkerContext&>> {
     using R = std::invoke_result_t<TraceFn&, WorkerContext&>;
 
     const auto make_context = [this](std::size_t task, int worker) {
@@ -147,22 +107,12 @@ class FleetScheduler {
 
     if (config_.jobs <= 1 || task_count <= 1) {
       // Serial path: bit-for-bit the pre-orchestrator loops.
-      std::vector<R> results;
-      if (keep_results) {
-        results.reserve(task_count);
-        for (std::size_t i = 0; i < task_count; ++i) {
-          auto context = make_context(i, 0);
-          results.push_back(trace(context));
-          on_result(i, results.back());
-        }
-      } else {
-        for (std::size_t i = 0; i < task_count; ++i) {
-          auto context = make_context(i, 0);
-          auto result = trace(context);
-          on_result(i, result);
-        }
+      for (std::size_t i = 0; i < task_count; ++i) {
+        auto context = make_context(i, 0);
+        auto result = trace(context);
+        on_result(i, result);
       }
-      return results;
+      return;
     }
 
     DrainState<R> state;
@@ -225,9 +175,7 @@ class FleetScheduler {
               // the draining flag is ours, so the deref needs no lock.
               on_result(index, *ready);
               MutexLock lock(state.mutex);
-              if (!keep_results) {
-                state.slots[index].reset();  // streamed: drop it
-              }
+              state.slots[index].reset();  // streamed: drop it
               ++state.next_emit;
             }
           } catch (...) {
@@ -249,17 +197,22 @@ class FleetScheduler {
     // guarded fields still want their lock for the final reads.
     MutexLock lock(state.mutex);
     if (state.first_error) std::rethrow_exception(state.first_error);
-
-    std::vector<R> results;
-    if (keep_results) {
-      results.reserve(task_count);
-      for (auto& slot : state.slots) {
-        MMLPT_ASSERT(slot.has_value());
-        results.push_back(std::move(*slot));
-      }
-    }
-    return results;
   }
+
+ private:
+  /// Shared state of one parallel run_streaming call — a per-run local
+  /// (runs are re-entrant), typed as a struct rather than loose locals so
+  /// the guarded-field discipline is compiler-checked: the thread safety
+  /// analysis tracks annotated members, never function locals.
+  template <typename R>
+  struct DrainState {
+    Mutex mutex;
+    std::vector<std::optional<R>> slots MMLPT_GUARDED_BY(mutex);
+    std::size_t next_emit MMLPT_GUARDED_BY(mutex) = 0;
+    /// Exactly one worker drains the reorder buffer at a time.
+    bool draining MMLPT_GUARDED_BY(mutex) = false;
+    std::exception_ptr first_error MMLPT_GUARDED_BY(mutex);
+  };
 
   FleetConfig config_;
   Rng base_rng_;  ///< only fork(stream_id)ed — never drawn from

@@ -154,12 +154,6 @@ std::vector<TraceProbeResult> ProbeEngine::probe_batch(
   return results;
 }
 
-EchoProbeResult ProbeEngine::ping(net::IpAddress target) {
-  // One-element window, same reduction as probe().
-  auto results = ping_batch({&target, 1});
-  return std::move(results.front());
-}
-
 std::vector<EchoProbeResult> ProbeEngine::ping_batch(
     std::span<const net::IpAddress> targets) {
   std::vector<EchoProbeResult> results(targets.size());
@@ -195,7 +189,7 @@ std::vector<EchoProbeResult> ProbeEngine::ping_batch(
         continue;
       }
       const auto reply = net::parse_reply(replies[slot]->datagram);
-      if (!reply.is_echo_reply()) {  // same per-attempt filter as ping()
+      if (!reply.is_echo_reply()) {
         still_pending.push_back(i);
         continue;
       }

@@ -121,14 +121,10 @@ class ProbeEngine {
   [[nodiscard]] std::vector<TraceProbeResult> probe_batch(
       std::span<const ProbeRequest> requests);
 
-  /// Send an ICMP(v6) echo request to `target` (direct probing).
-  [[nodiscard]] EchoProbeResult ping(net::IpAddress target);
-
-  /// Send a window of ICMP echo requests as one TransportQueue
-  /// submission; slot i answers targets[i]. Retries run in rounds exactly like
-  /// probe_batch, and a reply that is not an Echo Reply counts as
-  /// unanswered (matching ping()'s per-attempt filter). A one-element
-  /// window is equivalent to ping().
+  /// Send a window of ICMP(v6) echo requests (direct probing) as one
+  /// TransportQueue submission; slot i answers targets[i]. Retries run in
+  /// rounds exactly like probe_batch, and a reply that is not an Echo
+  /// Reply counts as unanswered.
   [[nodiscard]] std::vector<EchoProbeResult> ping_batch(
       std::span<const net::IpAddress> targets);
 

@@ -19,6 +19,59 @@
 #endif
 
 namespace mmlpt::probe {
+namespace {
+
+/// Fill `out` (zeroed by the caller) with `address` and `port` in its
+/// family's socket-address form; returns the length to pass with it.
+socklen_t to_sockaddr(const net::IpAddress& address, std::uint16_t port,
+                      sockaddr_storage& out) {
+  if (address.family() == net::Family::kIpv6) {
+    auto* to = reinterpret_cast<sockaddr_in6*>(&out);
+    to->sin6_family = AF_INET6;
+    to->sin6_port = htons(port);
+    std::memcpy(to->sin6_addr.s6_addr, address.bytes().data(), 16);
+    return sizeof(sockaddr_in6);
+  }
+  auto* to = reinterpret_cast<sockaddr_in*>(&out);
+  to->sin_family = AF_INET;
+  to->sin_port = htons(port);
+  to->sin_addr.s_addr = htonl(address.value());
+  return sizeof(sockaddr_in);
+}
+
+}  // namespace
+
+net::IpAddress route_source(const net::IpAddress& destination) {
+  const bool v6 = destination.family() == net::Family::kIpv6;
+  sockaddr_storage addr{};
+  // Any non-zero port: connect() only needs a route, and sends nothing.
+  const socklen_t addr_len = to_sockaddr(destination, 33434, addr);
+  const int fd = ::socket(v6 ? AF_INET6 : AF_INET, SOCK_DGRAM, 0);
+  if (fd < 0) {
+    throw SystemError(std::string("source lookup socket: ") +
+                      std::strerror(errno));
+  }
+  sockaddr_storage local{};
+  socklen_t local_len = sizeof(local);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), addr_len) < 0 ||
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&local), &local_len) <
+          0) {
+    const int error = errno;
+    ::close(fd);
+    throw SystemError("no source address toward " + destination.to_string() +
+                      ": " + std::strerror(error));
+  }
+  ::close(fd);
+  if (v6) {
+    net::IpAddress::Bytes bytes{};
+    std::memcpy(bytes.data(),
+                reinterpret_cast<const sockaddr_in6*>(&local)->sin6_addr.s6_addr,
+                16);
+    return net::IpAddress::v6(bytes);
+  }
+  return net::IpAddress(
+      ntohl(reinterpret_cast<const sockaddr_in*>(&local)->sin_addr.s_addr));
+}
 
 void RawSocketNetwork::register_metrics(obs::MetricsRegistry& registry) {
   const obs::Labels labels{{"transport", "poll"}};
@@ -114,19 +167,8 @@ void RawSocketNetwork::submit(std::span<const Datagram> window, Ticket ticket,
   for (std::size_t slot = 0; slot < count; ++slot) {
     probes.push_back(net::parse_probe(window[slot].bytes));
     auto& addr = addrs[slot];
-    socklen_t addr_len = 0;
-    if (v6) {
-      auto* to = reinterpret_cast<sockaddr_in6*>(&addr);
-      to->sin6_family = AF_INET6;
-      std::memcpy(to->sin6_addr.s6_addr, probes[slot].ip6.dst.bytes().data(),
-                  16);
-      addr_len = sizeof(sockaddr_in6);
-    } else {
-      auto* to = reinterpret_cast<sockaddr_in*>(&addr);
-      to->sin_family = AF_INET;
-      to->sin_addr.s_addr = htonl(probes[slot].ip.dst.value());
-      addr_len = sizeof(sockaddr_in);
-    }
+    const socklen_t addr_len = to_sockaddr(
+        v6 ? probes[slot].ip6.dst : probes[slot].ip.dst, /*port=*/0, addr);
     iovs[slot] = iovec{const_cast<std::uint8_t*>(window[slot].bytes.data()),
                        window[slot].bytes.size()};
     msgs[slot] = mmsghdr{};

@@ -65,13 +65,19 @@ namespace mmlpt::probe {
       ms, std::numeric_limits<int>::max()));
 }
 
+/// The local address the kernel's routing table picks for packets to
+/// `destination` (either family): connect() an unbound UDP socket and
+/// read getsockname(). Sends nothing and needs no privilege. Throws
+/// SystemError when the host has no route to `destination`.
+[[nodiscard]] net::IpAddress route_source(const net::IpAddress& destination);
+
 class RawSocketNetwork final : public TransportQueue {
  public:
   struct Config {
     std::chrono::milliseconds reply_timeout{1000};
-    /// Socket family. IPv6 probing needs an explicit source address in
-    /// the crafted probes (the reply parser reconstructs the reply's
-    /// destination from it).
+    /// Socket family. The crafted probes must carry a real source
+    /// address (route_source() finds it): it is in the UDP checksum, and
+    /// the IPv6 reply parser reconstructs the reply's destination from it.
     net::Family family = net::Family::kIpv4;
   };
 

@@ -15,9 +15,18 @@ std::uint16_t MultipathGraph::add_hop() {
 }
 
 VertexId MultipathGraph::add_vertex(std::uint16_t hop, net::Ipv4Address addr) {
+  const auto id = try_add_vertex(hop, addr);
+  if (id == kInvalidVertex) {
+    throw TopologyError("duplicate vertex address " + addr.to_string());
+  }
+  return id;
+}
+
+VertexId MultipathGraph::try_add_vertex(std::uint16_t hop,
+                                        net::Ipv4Address addr) {
   MMLPT_EXPECTS(hop < hops_.size());
   if (!addr.is_unspecified() && find(addr) != kInvalidVertex) {
-    throw TopologyError("duplicate vertex address " + addr.to_string());
+    return kInvalidVertex;
   }
   const auto id = static_cast<VertexId>(vertices_.size());
   vertices_.push_back({addr, hop});

@@ -34,6 +34,9 @@ class MultipathGraph {
   /// Add a vertex at `hop` (which must exist). Addresses must be unique
   /// within the graph except for the unspecified (star) address.
   VertexId add_vertex(std::uint16_t hop, net::Ipv4Address addr);
+  /// add_vertex() that returns kInvalidVertex instead of throwing when
+  /// `addr` is already in the graph (the same single address scan).
+  VertexId try_add_vertex(std::uint16_t hop, net::Ipv4Address addr);
 
   /// Add an edge from `from` (hop i) to `to` (hop i+1). Duplicate edges are
   /// ignored.

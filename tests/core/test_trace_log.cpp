@@ -84,6 +84,29 @@ TEST(DiscoveryRecorder, ToGraphToleratesPartialDiscovery) {
   EXPECT_TRUE(g.vertices_at(1).empty());
 }
 
+TEST(DiscoveryRecorder, ToGraphKeepsARepeatedAddressAtItsFirstHop) {
+  // A trace to the source itself: the destination answers at hop 1 with
+  // the hop-0 address. The later occurrence and its edges are dropped.
+  DiscoveryRecorder rec;
+  rec.add_vertex(0, kA, 1);
+  rec.add_vertex(1, kA, 2);
+  rec.add_vertex(1, kB, 3);
+  rec.add_vertex(2, kC, 4);
+  rec.add_edge(0, kA, kA, 5);
+  rec.add_edge(0, kA, kB, 6);
+  rec.add_edge(1, kA, kC, 7);
+  rec.add_edge(1, kB, kC, 8);
+  topo::MultipathGraph g;
+  ASSERT_NO_THROW(g = rec.to_graph());
+  EXPECT_EQ(g.hop_count(), 3);
+  EXPECT_EQ(g.vertex_count(), 3u);
+  EXPECT_EQ(g.find(kA), g.find_at(0, kA));
+  EXPECT_EQ(g.find_at(1, kA), topo::kInvalidVertex);
+  EXPECT_EQ(g.edge_count(), 2u);
+  EXPECT_TRUE(g.has_edge(g.find(kA), g.find(kB)));
+  EXPECT_TRUE(g.has_edge(g.find(kB), g.find(kC)));
+}
+
 TEST(DiscoveryRecorder, EventsInterleaveVerticesAndEdges) {
   DiscoveryRecorder rec;
   rec.add_vertex(0, kA, 10);

@@ -3,8 +3,9 @@
 // acceptance criteria — concurrent clients each byte-identical to a
 // standalone run_fleet_job of the same spec, one client's mid-trace
 // cancel leaving other tenants untouched, admission control refusing the
-// over-cap job with an observable kRejected status, and the status
-// document carrying the admission counters.
+// over-cap job with an observable kRejected status, a connection
+// refusing a second job while its first runs, and the status document
+// carrying the admission counters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,7 +14,11 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
+
+#include <cstring>
 
 #include "common/error.h"
 #include "daemon/admission.h"
@@ -256,6 +261,102 @@ TEST(DaemonE2E, OverCapJobIsRejectedWithoutDisturbingTheRunningOne) {
 
   EXPECT_EQ(daemon.admission().jobs_rejected(), 1u);
   EXPECT_EQ(daemon.admission().jobs_active(), 0);
+}
+
+/// A bare protocol connection that has finished the handshake: lets a
+/// test write frames daemon::Client never sends.
+class RawConnection {
+ public:
+  explicit RawConnection(const std::string& path) : reader_(fd_) {
+    try {
+      sockaddr_un addr{};
+      addr.sun_family = AF_UNIX;
+      std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+      if (fd_ < 0 || ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                               sizeof addr) != 0) {
+        throw SystemError("cannot connect to " + path);
+      }
+      write_frame(fd_, encode_hello(Hello{}));
+      if (next().type != static_cast<std::uint8_t>(FrameType::kHelloAck)) {
+        throw Error("expected hello ack");
+      }
+    } catch (...) {
+      ::close(fd_);
+      throw;
+    }
+  }
+  ~RawConnection() { ::close(fd_); }
+  RawConnection(const RawConnection&) = delete;
+  RawConnection& operator=(const RawConnection&) = delete;
+
+  /// Write `frames` with one send(), so the daemon reads them together.
+  void send_together(const std::vector<Frame>& frames) {
+    std::string bytes;
+    for (const auto& frame : frames) bytes += encode_frame(frame);
+    ASSERT_EQ(::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+  }
+
+  /// Block for the next frame.
+  Frame next() {
+    for (;;) {
+      if (auto frame = reader_.next()) return *frame;
+      if (!reader_.fill()) throw Error("daemon closed the connection");
+    }
+  }
+
+  /// Read until job `job_id`'s status, appending its lines to `lines`
+  /// and every other job's status to `others`.
+  JobStatus run_to_status(std::uint64_t job_id,
+                          std::vector<std::string>& lines,
+                          std::vector<JobStatus>& others) {
+    for (;;) {
+      const auto frame = next();
+      if (frame.type == static_cast<std::uint8_t>(FrameType::kResultLine)) {
+        auto line = decode_result_line(frame);
+        if (line.job_id == job_id) lines.push_back(std::move(line.line));
+      } else if (frame.type ==
+                 static_cast<std::uint8_t>(FrameType::kJobStatus)) {
+        auto status = decode_job_status(frame);
+        if (status.job_id == job_id) return status;
+        others.push_back(std::move(status));
+      }
+    }
+  }
+
+ private:
+  int fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  FrameReader reader_;
+};
+
+TEST(DaemonE2E, SecondJobOnABusyConnectionIsRejected) {
+  DaemonConfig config;
+  config.socket_path = temp_socket_path();
+  config.fleet.jobs = 2;
+  Daemon daemon(config);
+  daemon.start();
+
+  RawConnection connection(config.socket_path);
+  const auto spec = small_spec(8, 5);
+  connection.send_together({encode_job_request({1, spec}),
+                            encode_job_request({2, small_spec(4, 1)})});
+  std::vector<std::string> lines;
+  std::vector<JobStatus> others;
+  const auto first = connection.run_to_status(1, lines, others);
+  EXPECT_EQ(first.outcome, JobOutcome::kOk) << first.message;
+  EXPECT_EQ(lines, reference_lines(spec));
+  ASSERT_EQ(others.size(), 1u);
+  EXPECT_EQ(others[0].job_id, 2u);
+  EXPECT_EQ(others[0].outcome, JobOutcome::kRejected);
+  EXPECT_EQ(others[0].lines, 0u);
+
+  // The connection is free as soon as the first status arrives.
+  lines.clear();
+  connection.send_together({encode_job_request({3, spec})});
+  const auto third = connection.run_to_status(3, lines, others);
+  EXPECT_EQ(third.outcome, JobOutcome::kOk) << third.message;
+  EXPECT_EQ(lines, reference_lines(spec));
+  EXPECT_EQ(others.size(), 1u);
 }
 
 TEST(DaemonE2E, StatusDocumentExposesAdmissionState) {

@@ -157,7 +157,7 @@ TEST(EndToEndIpv6, EchoProbingWorksOnV6) {
   engine_config.destination = route.destination;
   probe::ProbeEngine engine(network, engine_config);
 
-  const auto result = engine.ping(route.destination);
+  const auto result = engine.ping_batch({&route.destination, 1}).front();
   EXPECT_TRUE(result.answered);
   EXPECT_EQ(result.responder, route.destination);
   EXPECT_EQ(result.reply_ip_id, 0);  // no identification field on v6

@@ -4,8 +4,12 @@
 // port-unreachable, so the expected topology is exact: the source, then
 // the destination one hop out. The probes leave from 127.0.0.2 (also
 // local on Linux's 127/8 loopback) because a trace graph holds each
-// address once, and a source equal to the destination would appear at
-// hop 0 and hop 1. Needs CAP_NET_RAW; without it the test SKIPS visibly.
+// address once: with a source equal to the destination, hop 1 would be
+// dropped as a repeat of hop 0. Needs CAP_NET_RAW; without it the test SKIPS visibly.
+//
+// RouteSource.* pin the default source of `mmlpt_trace --real`: the
+// address the kernel's route lookup picks, read from a connected UDP
+// socket. Those need no privilege.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -68,6 +72,23 @@ TEST(RawSocketTrace, LoopbackMdaLiteIsExactAndWindowInvariant) {
   EXPECT_TRUE(topo::same_topology(traces[0].result.graph,
                                   traces[1].result.graph));
   EXPECT_EQ(traces[0].result.packets, traces[1].result.packets);
+}
+
+TEST(RouteSource, LoopbackV4IsAnsweredFrom127001) {
+  const auto loopback = net::Ipv4Address(127, 0, 0, 1);
+  EXPECT_EQ(probe::route_source(loopback), loopback);
+  EXPECT_EQ(probe::route_source(net::Ipv4Address(127, 0, 0, 2)), loopback);
+}
+
+TEST(RouteSource, LoopbackV6IsAnsweredFromItself) {
+  const auto loopback = net::IpAddress::parse_or_throw("::1");
+  net::IpAddress source;
+  try {
+    source = probe::route_source(loopback);
+  } catch (const SystemError& e) {
+    GTEST_SKIP() << "::1 unavailable on this host: " << e.what();
+  }
+  EXPECT_EQ(source, loopback);
 }
 
 }  // namespace

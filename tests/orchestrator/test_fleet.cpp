@@ -14,10 +14,20 @@
 namespace mmlpt::orchestrator {
 namespace {
 
+/// Every task's result in task order, gathered through on_result.
+template <typename TraceFn>
+auto collect(FleetScheduler& fleet, std::size_t task_count, TraceFn&& trace) {
+  std::vector<std::invoke_result_t<TraceFn&, WorkerContext&>> results;
+  fleet.run_streaming(task_count, trace, [&](std::size_t, auto& result) {
+    results.push_back(std::move(result));
+  });
+  return results;
+}
+
 TEST(FleetScheduler, RunsEveryTaskExactlyOnce) {
   FleetScheduler fleet({/*jobs=*/4, /*seed=*/1});
   std::atomic<int> calls{0};
-  const auto results = fleet.run(100, [&](WorkerContext& context) {
+  const auto results = collect(fleet, 100, [&](WorkerContext& context) {
     calls.fetch_add(1);
     return context.task_index * 2;
   });
@@ -31,7 +41,7 @@ TEST(FleetScheduler, RunsEveryTaskExactlyOnce) {
 TEST(FleetScheduler, SerialAndParallelResultsMatch) {
   const auto run_with = [](int jobs) {
     FleetScheduler fleet({jobs, /*seed=*/42});
-    return fleet.run(64, [](WorkerContext& context) {
+    return collect(fleet, 64, [](WorkerContext& context) {
       // Task-private randomness: pure in (seed, task_index).
       std::uint64_t acc = 0;
       for (int i = 0; i < 10; ++i) acc ^= context.rng.uniform(0, 1u << 30);
@@ -44,7 +54,7 @@ TEST(FleetScheduler, SerialAndParallelResultsMatch) {
 TEST(FleetScheduler, OnResultFiresInIndexOrder) {
   FleetScheduler fleet({/*jobs=*/8, /*seed=*/1});
   std::vector<std::size_t> emitted;
-  const auto results = fleet.run(
+  fleet.run_streaming(
       50, [](WorkerContext& context) { return context.task_index; },
       [&](std::size_t index, std::size_t& result) {
         EXPECT_EQ(index, result);
@@ -52,7 +62,6 @@ TEST(FleetScheduler, OnResultFiresInIndexOrder) {
       });
   ASSERT_EQ(emitted.size(), 50u);
   for (std::size_t i = 0; i < emitted.size(); ++i) EXPECT_EQ(emitted[i], i);
-  EXPECT_EQ(results.size(), 50u);
 }
 
 TEST(FleetScheduler, StreamsThroughResultSinkDeterministically) {
@@ -61,7 +70,8 @@ TEST(FleetScheduler, StreamsThroughResultSinkDeterministically) {
     {
       ResultSink sink(out);
       FleetScheduler fleet({jobs, /*seed=*/7});
-      const auto results = fleet.run(
+      std::size_t emitted = 0;
+      fleet.run_streaming(
           30,
           [](WorkerContext& context) {
             return "task-" + std::to_string(context.task_index) + "-" +
@@ -69,8 +79,9 @@ TEST(FleetScheduler, StreamsThroughResultSinkDeterministically) {
           },
           [&](std::size_t index, std::string& line) {
             sink.emit(index, line);
+            ++emitted;
           });
-      EXPECT_EQ(results.size(), 30u);
+      EXPECT_EQ(emitted, 30u);
     }
     return out.str();
   };
@@ -83,13 +94,13 @@ TEST(FleetScheduler, WorkerRngStreamsAreTaskNotWorkerBound) {
   // With 1 task per worker vs all tasks on one worker, task i's stream
   // must be identical — the context RNG is forked by task index.
   FleetScheduler fleet({/*jobs=*/1, /*seed=*/5});
-  const auto draws = fleet.run(8, [](WorkerContext& context) {
+  const auto draws = collect(fleet, 8, [](WorkerContext& context) {
     return context.rng.uniform(0, 1u << 30);
   });
   const std::set<std::uint64_t> unique(draws.begin(), draws.end());
   EXPECT_EQ(unique.size(), draws.size());  // distinct streams per task
   FleetScheduler wide({/*jobs=*/8, /*seed=*/5});
-  EXPECT_EQ(draws, wide.run(8, [](WorkerContext& context) {
+  EXPECT_EQ(draws, collect(wide, 8, [](WorkerContext& context) {
     return context.rng.uniform(0, 1u << 30);
   }));
 }
@@ -112,15 +123,14 @@ TEST(FleetScheduler, RunStreamingConsumesEveryResultInOrder) {
 
 TEST(FleetScheduler, PropagatesTheFirstTaskException) {
   FleetScheduler fleet({/*jobs=*/4, /*seed=*/1});
-  EXPECT_THROW(
-      (void)fleet.run(32,
-                      [](WorkerContext& context) -> int {
-                        if (context.task_index == 13) {
-                          throw std::runtime_error("boom");
-                        }
-                        return 0;
-                      }),
-      std::runtime_error);
+  EXPECT_THROW((void)collect(fleet, 32,
+                             [](WorkerContext& context) -> int {
+                               if (context.task_index == 13) {
+                                 throw std::runtime_error("boom");
+                               }
+                               return 0;
+                             }),
+               std::runtime_error);
 }
 
 TEST(FleetScheduler, JobsOneNeverSpawnsThreads) {
@@ -128,7 +138,7 @@ TEST(FleetScheduler, JobsOneNeverSpawnsThreads) {
   // via strictly increasing task indices with no interleaving.
   FleetScheduler fleet({/*jobs=*/1, /*seed=*/1});
   std::vector<std::size_t> order;
-  (void)fleet.run(20, [&](WorkerContext& context) {
+  (void)collect(fleet, 20, [&](WorkerContext& context) {
     order.push_back(context.task_index);  // unsynchronized: safe iff serial
     EXPECT_EQ(context.worker_id, 0);
     return 0;
@@ -144,7 +154,7 @@ TEST(FleetScheduler, BuildsALimiterOnlyWhenRateLimited) {
   ASSERT_NE(limited.limiter(), nullptr);
   EXPECT_DOUBLE_EQ(limited.limiter()->packets_per_second(), 100.0);
   EXPECT_EQ(limited.limiter()->burst(), 16);
-  (void)limited.run(4, [](WorkerContext& context) {
+  (void)collect(limited, 4, [](WorkerContext& context) {
     EXPECT_NE(context.limiter, nullptr);
     context.limiter->acquire(1);
     return 0;

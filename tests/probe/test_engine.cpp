@@ -73,7 +73,7 @@ TEST(ProbeEngine, PacketAccounting) {
   (void)rig.engine.probe(1, 1);
   EXPECT_EQ(rig.engine.packets_sent(), 2u);
   EXPECT_EQ(rig.engine.trace_probes_sent(), 2u);
-  (void)rig.engine.ping(rig.truth.destination);
+  (void)rig.engine.ping_batch({&rig.truth.destination, 1});
   EXPECT_EQ(rig.engine.packets_sent(), 3u);
   EXPECT_EQ(rig.engine.echo_probes_sent(), 1u);
 }
@@ -110,7 +110,7 @@ TEST(ProbeEngine, VirtualClockAdvances) {
 TEST(ProbeEngine, PingCollectsIpId) {
   Rig rig(topo::simplest_diamond());
   const auto target = topo::reference_addr(1, 1, 0);
-  const auto a = rig.engine.ping(target);
+  const auto a = rig.engine.ping_batch({&target, 1}).front();
   ASSERT_TRUE(a.answered);
   EXPECT_EQ(a.responder, target);
 }

@@ -238,17 +238,15 @@ TEST(ParseDaemonOptions, DefaultsAndOverrides) {
   EXPECT_EQ(defaults.admission.max_jobs_per_tenant, 2);
   EXPECT_EQ(defaults.admission.tenant_pps, 0.0);
   EXPECT_EQ(defaults.admission.tenant_burst, 64);
-  EXPECT_EQ(defaults.queue, 4);
 
   const auto tuned = parse_daemon_options(make_flags(
       {"--socket", "/tmp/d.sock", "--max-jobs", "16",
        "--max-jobs-per-tenant", "4", "--tenant-pps", "250.5",
-       "--tenant-burst", "8", "--queue", "0"}));
+       "--tenant-burst", "8"}));
   EXPECT_EQ(tuned.admission.max_jobs_total, 16);
   EXPECT_EQ(tuned.admission.max_jobs_per_tenant, 4);
   EXPECT_DOUBLE_EQ(tuned.admission.tenant_pps, 250.5);
   EXPECT_EQ(tuned.admission.tenant_burst, 8);
-  EXPECT_EQ(tuned.queue, 0);
 }
 
 TEST(ParseDaemonOptions, RejectsOutOfRangeValues) {
@@ -257,9 +255,6 @@ TEST(ParseDaemonOptions, RejectsOutOfRangeValues) {
                ConfigError);
   EXPECT_THROW((void)parse_daemon_options(make_flags(
                    {"--socket", "s", "--tenant-burst", "0"})),
-               ConfigError);
-  EXPECT_THROW((void)parse_daemon_options(
-                   make_flags({"--socket", "s", "--queue", "-1"})),
                ConfigError);
 }
 
@@ -273,7 +268,7 @@ TEST(UsageBlocks, DaemonAndClientBlocksListEveryFlagExactlyOnce) {
         "--distinct", "--shared-prefix", "--seed", "--window"}},
       {daemon_options_usage(),
        {"--socket", "--max-jobs N", "--max-jobs-per-tenant", "--tenant-pps",
-        "--tenant-burst", "--queue"}},
+        "--tenant-burst"}},
       {client_options_usage(),
        {"--socket", "--tenant", "--output", "--status", "--metrics",
         "--cancel-after-lines"}},

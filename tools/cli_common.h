@@ -316,7 +316,6 @@ inline daemon::FleetJobSpec parse_job_spec(const Flags& flags) {
 struct DaemonCliOptions {
   std::string socket;
   daemon::AdmissionLimits admission;
-  int queue = 4;
 };
 
 inline DaemonCliOptions parse_daemon_options(const Flags& flags) {
@@ -338,8 +337,6 @@ inline DaemonCliOptions parse_daemon_options(const Flags& flags) {
   if (options.admission.tenant_burst < 1) {
     throw ConfigError("--tenant-burst must be >= 1");
   }
-  options.queue = static_cast<int>(flags.get_int("queue", 4));
-  if (options.queue < 0) throw ConfigError("--queue must be >= 0");
   return options;
 }
 
@@ -488,9 +485,6 @@ inline std::span<const OptionSpec> daemon_option_table() {
        "per-tenant probe rate limit, layered on the\n"
        "fleet-wide --pps budget (default unlimited)"},
       {"--tenant-burst N", "per-tenant token-bucket burst (default 64)"},
-      {"--queue N",
-       "jobs a connection may hold queued behind its\n"
-       "running one (default 4)"},
   };
   return table;
 }

@@ -66,9 +66,9 @@ constexpr const char kUsage[] =
     "  --json                        machine-readable output\n"
     "  --seed N                      simulator / generator seed\n"
     "  --real --destination IP       raw sockets (needs CAP_NET_RAW)\n"
-    "  --source IP                   source address for --real (default\n"
-    "                                0.0.0.0; IPv6 requires an explicit\n"
-    "                                source)\n";
+    "  --source IP                   source address for --real (default:\n"
+    "                                the one the route to --destination\n"
+    "                                uses)\n";
 
 constexpr const char kUsageSuffix[] =
     "  --version            print version and exit\n";
@@ -212,20 +212,17 @@ int run(const Flags& flags) {
   probe::ProbeEngine::Config engine_config;
   topo::GroundTruth truth;
   if (flags.get_bool("real", false)) {
-    const bool v6 = family == net::Family::kIpv6;
-    engine_config.source = net::IpAddress::parse_or_throw(
-        flags.get("source", v6 ? "::" : "0.0.0.0"));
     engine_config.destination = net::IpAddress::parse_or_throw(
         flags.get("destination", ""));
     if (engine_config.destination.family() != family) {
       throw ConfigError("--destination family disagrees with --family");
     }
+    engine_config.source =
+        flags.has("source")
+            ? net::IpAddress::parse_or_throw(flags.get("source", ""))
+            : probe::route_source(engine_config.destination);
     if (engine_config.source.family() != family) {
       throw ConfigError("--source family disagrees with --family");
-    }
-    if (v6 && engine_config.source.is_unspecified()) {
-      throw ConfigError("--real -6 needs an explicit --source address "
-                        "(IPv6 raw probes carry the crafted source)");
     }
     network = std::make_unique<probe::RawSocketNetwork>(
         probe::RawSocketNetwork::Config{.family = family}, obs.registry());

@@ -63,7 +63,6 @@ int run_daemon(const Flags& flags) {
   config.admission = options.admission;
   config.topology_cache = fleet_options.stop_set.topology_cache;
   config.consult_stop_set = fleet_options.stop_set.consult;
-  config.max_queued_jobs_per_connection = options.queue;
 
   // Install the handlers BEFORE the listener exists so there is no
   // window where a signal kills us with the socket file left behind.
