@@ -4,8 +4,8 @@
 //
 // FrameReader separates "decode what is buffered" (next) from "read once
 // from the fd" (fill) so callers can poll(2) on the descriptor together
-// with other wakeup fds (daemon shutdown pipe, signal self-pipe) and
-// only ever issue a read the poll has said will not block.
+// with other wakeup fds (the daemon loop's wake pipe, a signal
+// self-pipe) and only ever issue a read the poll has said will not block.
 #ifndef MMLPT_DAEMON_FRAME_IO_H
 #define MMLPT_DAEMON_FRAME_IO_H
 

@@ -2,7 +2,9 @@
 
 #include <cerrno>
 #include <cstring>
-#include <optional>
+#include <functional>
+#include <string_view>
+#include <system_error>
 #include <utility>
 
 #include <fcntl.h>
@@ -24,344 +26,129 @@ namespace {
 /// always on the last one).
 constexpr std::uint64_t kProgressEvery = 8;
 
-void set_cloexec(int fd) { ::fcntl(fd, F_SETFD, FD_CLOEXEC); }
+/// Outbox bytes past which a job thread waits and the loop stops reading
+/// the connection.
+constexpr std::size_t kOutboxCap = 256u << 10;
+
+/// How long a listener paused by a failed accept() (EMFILE, ENFILE) waits
+/// for a connection to close before accept() is tried again anyway.
+constexpr int kAcceptRetryMs = 100;
 
 }  // namespace
 
 // ---- Connection --------------------------------------------------------
 
-/// One accepted client: a reader thread decoding request frames and a
-/// worker thread running that client's job (one at a time per
-/// connection, concurrent across connections through the shared
-/// scheduler). All daemon->client frames go through send(), which
-/// serializes writes and latches peer_gone_ on the first failed write so
-/// a vanished client cancels its own job instead of wedging the daemon.
-class Daemon::Connection {
- public:
-  Connection(Daemon& daemon, int fd)
-      : daemon_(daemon), fd_(fd), reader_(fd) {}
+/// One accepted client. The loop thread owns every unguarded field; the
+/// connection's job thread reads `fd`, `tenant` and `cancel` (all fixed
+/// while it runs) and shares the guarded outbox state.
+struct Daemon::Connection {
+  explicit Connection(int socket) : fd(socket), reader(socket) {}
+  ~Connection() { ::close(fd); }
 
-  ~Connection() { join(); }
-
-  void start() { thread_ = std::thread(&Connection::run, this); }
-
-  void join() {
-    if (thread_.joinable()) thread_.join();
+  /// Send `frame`, or append it to the outbox when frames are already
+  /// waiting there. With `wait_for_room` (job threads only) first wait
+  /// while the outbox is over kOutboxCap. Frames to a vanished peer are
+  /// dropped. Returns true when the outbox went from empty to non-empty,
+  /// that is when the loop must start polling for POLLOUT.
+  bool queue(const Frame& frame, bool wait_for_room) {
+    const std::string bytes = encode_frame(frame);
+    MutexLock lock(mutex);
+    while (wait_for_room && !gone && outbox.size() > kOutboxCap) {
+      room.wait(mutex);
+    }
+    const bool was_empty = outbox.empty();
+    const std::size_t sent = was_empty ? send_now(bytes) : 0;
+    if (gone) return false;
+    outbox.append(bytes, sent);
+    return was_empty && !outbox.empty();
   }
 
-  [[nodiscard]] bool finished() const noexcept {
-    return finished_.load(std::memory_order_acquire);
+  /// Loop: write what the socket takes from the outbox.
+  void flush() {
+    MutexLock lock(mutex);
+    const std::size_t sent = send_now(outbox);
+    outbox.erase(0, gone ? outbox.size() : sent);
+    if (outbox.size() <= kOutboxCap) room.notify_all();
   }
+
+  /// poll(2) interest: read while under the cap, write while queued.
+  short events() {
+    MutexLock lock(mutex);
+    short wanted = 0;
+    if (reading && outbox.size() <= kOutboxCap) wanted |= POLLIN;
+    if (!outbox.empty()) wanted |= POLLOUT;
+    return wanted;
+  }
+
+  [[nodiscard]] bool has_room() {
+    MutexLock lock(mutex);
+    return outbox.size() <= kOutboxCap;
+  }
+  [[nodiscard]] bool job_running() {
+    MutexLock lock(mutex);
+    return busy;
+  }
+  /// Nothing left to write (a vanished peer's outbox is dropped).
+  [[nodiscard]] bool flushed() {
+    MutexLock lock(mutex);
+    return outbox.empty();
+  }
+
+  const int fd;
+  FrameReader reader;
+  bool greeted = false;  ///< the Hello/HelloAck handshake is done
+  bool reading = true;   ///< false after EOF, a read error or a refusal
+  std::string tenant = "default";
+  std::uint64_t job_id = 0;
+  /// The job's token: set before `job` starts, reset after it is joined.
+  std::unique_ptr<probe::CancelToken> cancel;
+
+  Mutex mutex;
+  CondVar room;  ///< the outbox fell to the cap, or the peer is gone
+  std::string outbox MMLPT_GUARDED_BY(mutex);
+  /// A write failed: the peer vanished, so frames to it are dropped.
+  bool gone MMLPT_GUARDED_BY(mutex) = false;
+  /// A job holds the connection, until just before its status is queued.
+  bool busy MMLPT_GUARDED_BY(mutex) = false;
+  std::thread job;  ///< declared last: it uses every field above
 
  private:
-  void run() {
-    bool peer_disconnected = false;
-    try {
-      if (handshake()) {
-        worker_ = std::thread(&Connection::worker_loop, this);
-        bool open = true;
-        while (open) {
-          if (!poll_readable()) break;  // daemon shutdown: drain
-          if (!reader_.fill()) {
-            peer_disconnected = true;
-            break;
-          }
-          while (auto frame = reader_.next()) handle_frame(*frame);
+  /// Write what the socket takes without blocking; returns the bytes
+  /// sent. A hard error (EPIPE: the peer vanished) latches `gone`, wakes
+  /// a job thread waiting for room and cancels the job.
+  std::size_t send_now(std::string_view bytes) MMLPT_REQUIRES(mutex) {
+    std::size_t sent = 0;
+    while (sent < bytes.size()) {
+      // MSG_NOSIGNAL: a vanished peer must surface as EPIPE, not SIGPIPE.
+      const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
+                               MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (n >= 0) {
+        sent += static_cast<std::size_t>(n);
+      } else if (errno != EINTR) {
+        if (errno != EAGAIN && errno != EWOULDBLOCK) {
+          gone = true;
+          room.notify_all();
+          if (cancel) cancel->request();
         }
-      }
-    } catch (const ParseError& e) {
-      // Torn/oversized frame or schema violation: the stream cannot be
-      // resynchronized. Tell the peer why, then drop the connection.
-      send(encode_error({std::string("protocol error: ") + e.what()}));
-      peer_disconnected = true;
-    } catch (const std::exception&) {
-      peer_disconnected = true;  // read error: treat like a vanished peer
-    }
-    stop_worker(peer_disconnected);
-    ::close(fd_);
-    finished_.store(true, std::memory_order_release);
-  }
-
-  /// Wait until the connection fd is readable. Returns false when the
-  /// daemon's shutdown pipe fired instead.
-  [[nodiscard]] bool poll_readable() {
-    struct pollfd fds[2] = {{fd_, POLLIN, 0},
-                            {daemon_.shutdown_pipe_[0], POLLIN, 0}};
-    for (;;) {
-      const int n = ::poll(fds, 2, -1);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        throw SystemError(std::string("connection poll failed: ") +
-                          std::strerror(errno));
-      }
-      if (fds[1].revents != 0) return false;
-      if (fds[0].revents != 0) return true;
-    }
-  }
-
-  /// Version negotiation. Unknown frame types before the Hello are
-  /// skipped (forward compatibility); a known non-Hello frame, a magic
-  /// mismatch or a version range outside ours is refused with an Error
-  /// frame before any job state exists.
-  [[nodiscard]] bool handshake() {
-    for (;;) {
-      if (!poll_readable()) return false;  // shutdown mid-handshake
-      if (!reader_.fill()) return false;   // EOF before hello
-      while (auto frame = reader_.next()) {
-        if (!is_known_frame_type(frame->type)) continue;
-        if (frame->type != static_cast<std::uint8_t>(FrameType::kHello)) {
-          send(encode_error({"handshake violation: expected hello frame"}));
-          return false;
-        }
-        const Hello hello = decode_hello(*frame);  // ParseError -> run()
-        const auto version = negotiate_version(hello);
-        if (!version) {
-          send(encode_error(
-              {"unsupported protocol version: daemon speaks " +
-               std::to_string(kProtocolVersion) + ", client offered [" +
-               std::to_string(hello.min_version) + ", " +
-               std::to_string(hello.max_version) + "]"}));
-          return false;
-        }
-        tenant_ = hello.tenant.empty() ? "default" : hello.tenant;
-        send(encode_hello_ack({*version}));
-        return true;
+        break;
       }
     }
+    return sent;
   }
-
-  void handle_frame(const Frame& frame) {
-    if (!is_known_frame_type(frame.type)) return;  // skip, don't refuse
-    switch (static_cast<FrameType>(frame.type)) {
-      case FrameType::kJobRequest:
-        accept_job(decode_job_request(frame));
-        return;
-      case FrameType::kCancel:
-        cancel_job(decode_cancel(frame).job_id);
-        return;
-      case FrameType::kStatusRequest:
-        send(encode_server_status({daemon_.status_json()}));
-        return;
-      case FrameType::kMetricsRequest:
-        send(encode_metrics({daemon_.metrics_.render()}));
-        return;
-      default:
-        // A duplicate hello or a daemon->client frame from a client:
-        // harmless, ignore rather than poison a healthy connection.
-        return;
-    }
-  }
-
-  /// Hand the job to the worker, or refuse it with kRejected when this
-  /// connection already has one (the client waits for each JobStatus
-  /// before its next request, so nothing is queued daemon-side).
-  void accept_job(JobRequest request) {
-    std::optional<JobStatus> refusal;
-    {
-      const MutexLock lock(job_mutex_);
-      if (worker_stop_) {
-        refusal = JobStatus{request.job_id, JobOutcome::kRejected,
-                            "daemon shutting down", 0, 0};
-      } else if (job_active_) {
-        refusal = JobStatus{request.job_id, JobOutcome::kRejected,
-                            "connection busy: one job at a time", 0, 0};
-      } else {
-        job_active_ = true;
-        active_job_id_ = request.job_id;
-        active_cancel_ = std::make_shared<probe::CancelToken>();
-        // relaxed: latched flag; a write already failed, so no one would
-        // read this job's frames. A missed read is caught by send().
-        if (peer_gone_.load(std::memory_order_relaxed)) {
-          active_cancel_->request();
-        }
-        pending_ = std::move(request);
-      }
-    }
-    if (refusal) {
-      send(encode_job_status(*refusal));
-    } else {
-      job_cv_.notify_one();
-    }
-  }
-
-  void cancel_job(std::uint64_t job_id) {
-    const MutexLock lock(job_mutex_);
-    if (job_active_ && active_job_id_ == job_id) active_cancel_->request();
-    // Unknown id: the job already finished — its final status frame is
-    // on the wire or gone; nothing to do.
-  }
-
-  /// Runs each accepted job. An accepted job always runs to its status
-  /// (drain); stop_worker() only ends the loop once nothing is pending.
-  void worker_loop() {
-    for (;;) {
-      JobRequest request;
-      std::shared_ptr<probe::CancelToken> cancel;
-      {
-        MutexLock lock(job_mutex_);
-        while (!worker_stop_ && !pending_) job_cv_.wait(job_mutex_);
-        if (!pending_) break;
-        request = std::move(*pending_);
-        pending_.reset();
-        cancel = active_cancel_;
-      }
-      send(encode_job_status(run_one_job(request, *cancel)));
-    }
-  }
-
-  /// Run one accepted job and return its final status, with the
-  /// connection already free for the next request.
-  [[nodiscard]] JobStatus run_one_job(const JobRequest& request,
-                                      probe::CancelToken& cancel) {
-    AdmissionTicket ticket = daemon_.admission_.try_admit(tenant_);
-    if (!ticket.admitted) {
-      daemon_.jobs_refused_->add();
-      finish_job();
-      return {request.job_id, JobOutcome::kRejected, ticket.reason, 0, 0};
-    }
-
-    JobStatus status;
-    status.job_id = request.job_id;
-    std::uint64_t lines = 0;
-    const auto total =
-        static_cast<std::uint64_t>(request.spec.destination_count());
-
-    FleetJobHooks hooks;
-    hooks.tenant_limiter = ticket.limiter;
-    hooks.cancel = &cancel;
-    hooks.on_line = [&](std::size_t, std::string line) {
-      ++lines;
-      send(encode_result_line({request.job_id, std::move(line)}));
-    };
-    hooks.on_progress = [&](std::uint64_t merged,
-                            const FleetJobCounters& so_far) {
-      if (merged % kProgressEvery == 0 || merged == total) {
-        send(encode_progress({request.job_id, merged, total, so_far.packets}));
-      }
-    };
-
-    try {
-      const FleetJobCounters counters =
-          run_fleet_job(daemon_.fleet_, &daemon_.stop_set_session_,
-                        request.spec, daemon_.config_.sim, hooks);
-      if (const auto* stop_set = daemon_.stop_set_session_.stop_set()) {
-        send(encode_stop_set_summary(
-            {request.job_id,
-             stop_set_summary_text(*stop_set,
-                                   counters.probes_saved_by_stop_set,
-                                   counters.traces_stopped)}));
-      }
-      status.outcome = JobOutcome::kOk;
-      status.packets = counters.packets;
-      daemon_.jobs_completed_->add();
-    } catch (const probe::CanceledError& e) {
-      status.outcome = JobOutcome::kCanceled;
-      status.message = e.what();
-      daemon_.jobs_canceled_->add();
-    } catch (const std::exception& e) {
-      status.outcome = JobOutcome::kFailed;
-      status.message = e.what();
-      daemon_.jobs_failed_->add();
-    }
-    status.lines = lines;
-
-    daemon_.admission_.release(tenant_);
-    finish_job();
-    return status;
-  }
-
-  /// Free the connection for its next job; runs before the job's final
-  /// status is sent, so a client that answers it at once is not refused.
-  void finish_job() {
-    const MutexLock lock(job_mutex_);
-    job_active_ = false;
-    active_cancel_.reset();
-  }
-
-  /// Stop the worker. A disconnected peer's job is canceled (no one is
-  /// listening); on daemon shutdown it drains to completion.
-  void stop_worker(bool peer_disconnected) {
-    {
-      const MutexLock lock(job_mutex_);
-      if (peer_disconnected) {
-        // relaxed: latched flag; readers only use it to suppress writes
-        // to a peer that is already gone, so no ordering is needed.
-        peer_gone_.store(true, std::memory_order_relaxed);
-        if (active_cancel_) active_cancel_->request();
-      }
-      // The worker only checks this between jobs, so an accepted job
-      // always finishes (drain) — unless the token above aborts it.
-      worker_stop_ = true;
-    }
-    job_cv_.notify_all();
-    if (worker_.joinable()) worker_.join();
-  }
-
-  /// Serialize all writes to the peer. The first failed write (EPIPE —
-  /// the peer vanished) latches peer_gone_ and fires the active job's
-  /// cancel token; later sends are silently dropped.
-  void send(const Frame& frame) {
-    const MutexLock lock(write_mutex_);
-    // relaxed (both sites): latched flag; the only consequence of a
-    // stale read is one extra write attempt, which re-latches it.
-    if (peer_gone_.load(std::memory_order_relaxed)) return;
-    try {
-      write_frame(fd_, frame);
-    } catch (const std::exception&) {
-      // relaxed: latching the same flag as above.
-      peer_gone_.store(true, std::memory_order_relaxed);
-      const MutexLock job_lock(job_mutex_);
-      if (active_cancel_) active_cancel_->request();
-    }
-  }
-
-  Daemon& daemon_;
-  int fd_;
-  FrameReader reader_;
-  std::string tenant_ = "default";
-  std::thread thread_;
-  std::atomic<bool> finished_{false};
-  std::atomic<bool> peer_gone_{false};
-
-  Mutex write_mutex_;  ///< serializes write_frame on fd_
-
-  // Job state: at most one accepted job, guarded by job_mutex_. It is
-  // active from accept_job() until finish_job(); pending_ holds it until
-  // the worker picks it up. Lock order: write_mutex_ before job_mutex_
-  // (see send()); never the reverse — every status send happens with
-  // job_mutex_ released.
-  Mutex job_mutex_;
-  CondVar job_cv_;
-  std::optional<JobRequest> pending_ MMLPT_GUARDED_BY(job_mutex_);
-  bool worker_stop_ MMLPT_GUARDED_BY(job_mutex_) = false;
-  bool job_active_ MMLPT_GUARDED_BY(job_mutex_) = false;
-  std::uint64_t active_job_id_ MMLPT_GUARDED_BY(job_mutex_) = 0;
-  std::shared_ptr<probe::CancelToken> active_cancel_
-      MMLPT_GUARDED_BY(job_mutex_);
-  std::thread worker_;
 };
 
 // ---- Daemon ------------------------------------------------------------
 
-namespace {
-
-/// Point the scheduler's config at the daemon registry before the
-/// scheduler is constructed (metrics_ is declared first, so it is alive
-/// by the time fleet_ initializes).
-orchestrator::FleetConfig with_registry(orchestrator::FleetConfig fleet,
-                                        obs::MetricsRegistry* registry) {
-  fleet.metrics = registry;
-  return fleet;
-}
-
-}  // namespace
-
 Daemon::Daemon(DaemonConfig config)
     : config_(std::move(config)),
-      fleet_(with_registry(config_.fleet, &metrics_)),
+      // Point the scheduler at the daemon registry before it is built
+      // (metrics_ is declared first, so it is alive by then).
+      fleet_([this] {
+        config_.fleet.metrics = &metrics_;
+        return config_.fleet;
+      }()),
       stop_set_session_(config_.topology_cache, config_.consult_stop_set),
       admission_(config_.admission) {
-  config_.fleet.metrics = &metrics_;
   stop_set_session_.instrument(metrics_);
   admission_.instrument(metrics_);
   const auto job_counter = [this](const char* outcome, const char* help) {
@@ -393,104 +180,306 @@ void Daemon::start() {
   std::memcpy(addr.sun_path, config_.socket_path.c_str(),
               config_.socket_path.size() + 1);
 
-  if (::pipe(shutdown_pipe_) != 0) {
-    throw SystemError("cannot create daemon shutdown pipe");
-  }
-  set_cloexec(shutdown_pipe_[0]);
-  set_cloexec(shutdown_pipe_[1]);
-
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw SystemError(std::string("cannot create unix socket: ") +
-                      std::strerror(errno));
-  }
-  set_cloexec(listen_fd_);
-  ::unlink(config_.socket_path.c_str());  // stale socket from a crash
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof addr) != 0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw SystemError("cannot bind " + config_.socket_path + ": " +
-                      std::strerror(err));
-  }
-  if (::listen(listen_fd_, 16) != 0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw SystemError(std::string("cannot listen: ") + std::strerror(err));
+  try {
+    if (::pipe2(wake_pipe_, O_CLOEXEC | O_NONBLOCK) != 0) {
+      throw SystemError(std::string("cannot create daemon wake pipe: ") +
+                        std::strerror(errno));
+    }
+    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK,
+                          0);
+    if (listen_fd_ < 0) {
+      throw SystemError(std::string("cannot create unix socket: ") +
+                        std::strerror(errno));
+    }
+    ::unlink(config_.socket_path.c_str());  // stale socket from a crash
+    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
+               sizeof addr) != 0) {
+      throw SystemError("cannot bind " + config_.socket_path + ": " +
+                        std::strerror(errno));
+    }
+    if (::listen(listen_fd_, 16) != 0) {
+      throw SystemError(std::string("cannot listen: ") +
+                        std::strerror(errno));
+    }
+  } catch (...) {
+    close_fds();
+    throw;
   }
 
-  // relaxed: advisory liveness flag (see running()); the accept thread
+  stopping_.store(false);
+  // relaxed: advisory liveness flag (see running()); the loop thread
   // synchronizes through its own spawn.
   running_.store(true, std::memory_order_relaxed);
-  accept_thread_ = std::thread(&Daemon::accept_loop, this);
-}
-
-void Daemon::accept_loop() {
-  for (;;) {
-    struct pollfd fds[2] = {{listen_fd_, POLLIN, 0},
-                            {shutdown_pipe_[0], POLLIN, 0}};
-    const int n = ::poll(fds, 2, -1);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (fds[1].revents != 0) break;  // shutdown
-    if (fds[0].revents == 0) continue;
-    const int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      break;
-    }
-    set_cloexec(client);
-    const MutexLock lock(connections_mutex_);
-    reap_finished_connections();
-    connections_.push_back(std::make_unique<Connection>(*this, client));
-    ++connections_accepted_;
-    connections_.back()->start();
-  }
-}
-
-void Daemon::reap_finished_connections() {
-  for (auto it = connections_.begin(); it != connections_.end();) {
-    if ((*it)->finished()) {
-      (*it)->join();
-      it = connections_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  loop_thread_ = std::thread(&Daemon::loop, this);
 }
 
 void Daemon::stop() {
   // relaxed: the exchange only arbitrates which caller runs the
-  // shutdown; all teardown ordering comes from the pipe write + joins.
+  // shutdown; all teardown ordering comes from the wake pipe + join.
   if (!running_.exchange(false, std::memory_order_relaxed)) return;
-  // One byte on the never-drained pipe wakes the accept loop and every
-  // connection poller, level-triggered.
-  const char byte = 1;
-  [[maybe_unused]] const auto n = ::write(shutdown_pipe_[1], &byte, 1);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  ::unlink(config_.socket_path.c_str());
-  {
-    // Drain: connection threads finish their accepted jobs and exit;
-    // join them all.
-    const MutexLock lock(connections_mutex_);
-    for (auto& connection : connections_) connection->join();
-    connections_.clear();
-  }
+  stopping_.store(true);
+  wake();
+  loop_thread_.join();        // drained: every job joined
   stop_set_session_.flush();  // discoveries survive the shutdown
-  for (int& fd : shutdown_pipe_) {
-    if (fd >= 0) {
-      ::close(fd);
-      fd = -1;
+  close_fds();
+}
+
+void Daemon::close_fds() {
+  for (int* fd : {&listen_fd_, &wake_pipe_[0], &wake_pipe_[1]}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
+  }
+}
+
+void Daemon::wake() {
+  const char byte = 1;
+  // A full pipe already holds a pending wakeup.
+  [[maybe_unused]] const auto n = ::write(wake_pipe_[1], &byte, 1);
+}
+
+void Daemon::loop() {
+  bool accepting = true;
+  std::vector<pollfd> fds;
+  for (;;) {
+    const bool stopping = stopping_.load();
+    if (stopping && listen_fd_ >= 0) {
+      ::close(listen_fd_);
+      listen_fd_ = -1;
+      ::unlink(config_.socket_path.c_str());
+    }
+    if (reap(stopping)) accepting = true;
+    if (stopping && connections_.empty()) return;
+
+    fds.assign({{wake_pipe_[0], POLLIN, 0},
+                {accepting ? listen_fd_ : -1, POLLIN, 0}});
+    for (const auto& connection : connections_) {
+      const short events = connection->events();
+      fds.push_back({events != 0 ? connection->fd : -1, events, 0});
+    }
+    const int ready = ::poll(fds.data(), fds.size(),
+                             accepting ? -1 : kAcceptRetryMs);
+    if (ready < 0) continue;  // EINTR (or a transient ENOMEM): poll again
+    if (ready == 0) accepting = true;  // a paused listener retries
+    if (fds[0].revents != 0) {
+      char drain[64];
+      while (::read(wake_pipe_[0], drain, sizeof drain) > 0) {
+      }
+    }
+    if (fds[1].revents != 0) {
+      const int client = ::accept4(listen_fd_, nullptr, nullptr,
+                                   SOCK_CLOEXEC);
+      if (client >= 0) {
+        connections_.push_back(std::make_unique<Connection>(client));
+        connections_accepted_.fetch_add(1);
+      } else if (errno != EAGAIN && errno != EINTR &&
+                 errno != ECONNABORTED) {
+        accepting = false;  // EMFILE, ENFILE, ENOBUFS: until one closes
+      }
+    }
+    // Indices match: accept appends after the polled connections.
+    for (std::size_t i = 2; i < fds.size(); ++i) {
+      const short revents = fds[i].revents;
+      if (revents == 0) continue;
+      Connection& connection = *connections_[i - 2];
+      if ((revents & (POLLOUT | POLLERR | POLLHUP)) != 0) connection.flush();
+      read_frames(connection, (revents & (POLLIN | POLLERR | POLLHUP)) != 0);
     }
   }
+}
+
+/// Join finished jobs and close finished connections. Returns true when
+/// a connection closed.
+bool Daemon::reap(bool stopping) {
+  for (const auto& connection : connections_) {
+    if (connection->job.joinable() && !connection->job_running()) {
+      connection->job.join();  // its status is queued: it is exiting
+      connection->cancel.reset();
+    }
+  }
+  const auto closed = std::erase_if(connections_, [stopping](const auto& c) {
+    return !c->job.joinable() && (!c->reading || stopping) && c->flushed();
+  });
+  connections_active_.store(connections_.size());
+  return closed > 0;
+}
+
+/// Decode and handle buffered frames while the outbox has room, after
+/// one read when the socket is `readable`. EOF, a read error or a
+/// protocol error ends reading and cancels the running job.
+void Daemon::read_frames(Connection& connection, bool readable) {
+  try {
+    if (readable && connection.reading && connection.has_room() &&
+        !connection.reader.fill()) {
+      connection.reading = false;
+    }
+    while (connection.reading && connection.has_room()) {
+      const auto frame = connection.reader.next();
+      if (!frame) return;
+      handle_frame(connection, *frame);
+    }
+  } catch (const ParseError& e) {
+    // Torn/oversized frame or schema violation: the stream cannot be
+    // resynchronized. Tell the peer why, then drop the connection.
+    connection.queue(encode_error({std::string("protocol error: ") + e.what()}),
+                     false);
+    connection.reading = false;
+  } catch (const std::exception&) {
+    connection.reading = false;  // read error: treat like a vanished peer
+  }
+  if (!connection.reading && connection.cancel) connection.cancel->request();
+}
+
+void Daemon::handle_frame(Connection& connection, const Frame& frame) {
+  if (!is_known_frame_type(frame.type)) return;  // skip, don't refuse
+  if (!connection.greeted) {
+    greet(connection, frame);
+    return;
+  }
+  switch (static_cast<FrameType>(frame.type)) {
+    case FrameType::kJobRequest:
+      accept_job(connection, decode_job_request(frame));
+      return;
+    case FrameType::kCancel:
+      // An unknown id means the job already finished: nothing to do.
+      if (connection.cancel &&
+          connection.job_id == decode_cancel(frame).job_id) {
+        connection.cancel->request();
+      }
+      return;
+    case FrameType::kStatusRequest:
+      connection.queue(encode_server_status({status_json()}), false);
+      return;
+    case FrameType::kMetricsRequest:
+      connection.queue(encode_metrics({metrics_.render()}), false);
+      return;
+    default:
+      // A duplicate hello or a daemon->client frame from a client:
+      // harmless, ignore rather than poison a healthy connection.
+      return;
+  }
+}
+
+/// Version negotiation. A known non-Hello frame, a magic mismatch or a
+/// version range outside ours is refused with an Error frame before any
+/// job state exists.
+void Daemon::greet(Connection& connection, const Frame& frame) {
+  std::string refusal = "handshake violation: expected hello frame";
+  if (frame.type == static_cast<std::uint8_t>(FrameType::kHello)) {
+    const Hello hello = decode_hello(frame);  // ParseError -> read_frames
+    if (const auto version = negotiate_version(hello)) {
+      connection.tenant = hello.tenant.empty() ? "default" : hello.tenant;
+      connection.greeted = true;
+      connection.queue(encode_hello_ack({*version}), false);
+      return;
+    }
+    refusal = "unsupported protocol version: daemon speaks " +
+              std::to_string(kProtocolVersion) + ", client offered [" +
+              std::to_string(hello.min_version) + ", " +
+              std::to_string(hello.max_version) + "]";
+  }
+  connection.queue(encode_error({refusal}), false);
+  connection.reading = false;
+}
+
+/// Start the job on its own thread, or refuse it with kRejected: during
+/// shutdown, while the connection's job runs (the client waits for each
+/// JobStatus before its next request, so nothing queues daemon-side), or
+/// over the admission caps.
+void Daemon::accept_job(Connection& connection, JobRequest request) {
+  const std::uint64_t job_id = request.job_id;
+  std::string refusal;
+  if (stopping_.load()) {
+    refusal = "daemon shutting down";
+  } else if (connection.job_running()) {
+    refusal = "connection busy: one job at a time";
+  } else if (const AdmissionTicket ticket =
+                 admission_.try_admit(connection.tenant);
+             !ticket.admitted) {
+    jobs_refused_->add();
+    refusal = ticket.reason;
+  } else {
+    if (connection.job.joinable()) connection.job.join();  // exiting
+    connection.job_id = job_id;
+    connection.cancel = std::make_unique<probe::CancelToken>();
+    {
+      const MutexLock lock(connection.mutex);
+      connection.busy = true;
+    }
+    try {
+      connection.job = std::thread(&Daemon::run_job, this,
+                                   std::ref(connection), std::move(request),
+                                   ticket.limiter);
+      return;
+    } catch (const std::system_error& e) {  // out of threads: undo
+      admission_.release(connection.tenant);
+      connection.cancel.reset();
+      const MutexLock lock(connection.mutex);
+      connection.busy = false;
+      refusal = std::string("cannot start the job: ") + e.what();
+    }
+  }
+  connection.queue(
+      encode_job_status({job_id, JobOutcome::kRejected, refusal, 0, 0}),
+      false);
+}
+
+/// A job thread: run one admitted job, streaming its frames, then free
+/// the connection and queue the final status.
+void Daemon::run_job(Connection& connection, const JobRequest& request,
+                     orchestrator::RateLimiter* tenant_limiter) {
+  const auto send = [&](const Frame& frame) {
+    if (connection.queue(frame, /*wait_for_room=*/true)) wake();
+  };
+  JobStatus status{request.job_id, JobOutcome::kOk, "", 0, 0};
+  const auto total =
+      static_cast<std::uint64_t>(request.spec.destination_count());
+
+  FleetJobHooks hooks;
+  hooks.tenant_limiter = tenant_limiter;
+  hooks.cancel = connection.cancel.get();
+  hooks.on_line = [&](std::size_t, std::string line) {
+    ++status.lines;
+    send(encode_result_line({request.job_id, std::move(line)}));
+  };
+  hooks.on_progress = [&](std::uint64_t merged,
+                          const FleetJobCounters& so_far) {
+    if (merged % kProgressEvery == 0 || merged == total) {
+      send(encode_progress({request.job_id, merged, total, so_far.packets}));
+    }
+  };
+
+  try {
+    const FleetJobCounters counters =
+        run_fleet_job(fleet_, &stop_set_session_, request.spec, config_.sim,
+                      hooks);
+    if (const auto* stop_set = stop_set_session_.stop_set()) {
+      send(encode_stop_set_summary(
+          {request.job_id,
+           stop_set_summary_text(*stop_set, counters.probes_saved_by_stop_set,
+                                 counters.traces_stopped)}));
+    }
+    status.packets = counters.packets;
+    jobs_completed_->add();
+  } catch (const probe::CanceledError& e) {
+    status.outcome = JobOutcome::kCanceled;
+    status.message = e.what();
+    jobs_canceled_->add();
+  } catch (const std::exception& e) {
+    status.outcome = JobOutcome::kFailed;
+    status.message = e.what();
+    jobs_failed_->add();
+  }
+
+  admission_.release(connection.tenant);
+  {
+    // Free the connection before its status goes out, so a client that
+    // answers the status at once is not refused as busy. Nothing after
+    // this blocks: the loop may already be joining this thread.
+    const MutexLock lock(connection.mutex);
+    connection.busy = false;
+  }
+  connection.queue(encode_job_status(status), /*wait_for_room=*/false);
+  wake();
 }
 
 std::string Daemon::status_json() const {
@@ -502,17 +491,10 @@ std::string Daemon::status_json() const {
   w.value(static_cast<std::uint64_t>(kProtocolVersion));
   w.key("socket");
   w.value(config_.socket_path);
-  {
-    const MutexLock lock(connections_mutex_);
-    std::size_t active = 0;
-    for (const auto& connection : connections_) {
-      if (!connection->finished()) ++active;
-    }
-    w.key("connections_active");
-    w.value(static_cast<std::uint64_t>(active));
-    w.key("connections_accepted");
-    w.value(connections_accepted_);
-  }
+  w.key("connections_active");
+  w.value(connections_active_.load());
+  w.key("connections_accepted");
+  w.value(connections_accepted_.load());
   w.key("fleet");
   w.begin_object();
   w.key("jobs");

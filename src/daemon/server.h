@@ -4,27 +4,35 @@
 // clients over a unix stream socket speaking the framed protocol in
 // protocol.h. Every job probes the Fakeroute simulator.
 //
-// Concurrency shape:
-//   * one accept thread polls { listen fd, shutdown pipe };
-//   * one thread per connection polls { conn fd, shutdown pipe } and
-//     decodes request frames;
-//   * each connection runs one job at a time on its worker thread,
-//     through the SHARED scheduler (per-job determinism comes from the
-//     job spec's seed alone), streaming ResultLine / Progress frames back
-//     under a per-connection write mutex;
-//   * a JobRequest that arrives while the connection's job is running is
-//     refused with a kRejected status (daemon::Client waits for each
-//     JobStatus before its next request), so nothing queues daemon-side.
+// Concurrency shape: one loop thread polls the listener, a wake pipe and
+// every connection. It accepts, reads and decodes frames, runs each
+// connection's handshake, makes admission decisions, answers status and
+// metrics requests, sends refusals and reaps closed connections. Each
+// admitted job runs on its own thread, which the loop starts and joins,
+// through the SHARED scheduler (per-job determinism comes from the job
+// spec's seed alone). A connection runs one job at a time: a JobRequest
+// that arrives while its job runs is refused with kRejected. So the
+// daemon holds 1 + running-jobs threads, bounded by AdmissionLimits,
+// however many clients sit idle.
+//
+// Every frame to a client goes through its connection's queue(): with
+// nothing queued it is sent at once with a non-blocking send, else it
+// joins an outbox the loop flushes on POLLOUT. A job thread waits while
+// its outbox is over a constant cap, and the loop stops reading such a
+// connection, so a client that never reads blocks neither the loop nor
+// other tenants and costs bounded memory. When accept() runs out of
+// descriptors (EMFILE/ENFILE) the loop stops polling the listener until
+// a connection closes (or a short retry timer fires).
 //
 // Cancellation: a kCancel frame (or the client disconnecting) fires the
 // job's probe::CancelToken; in-flight tickets resolve through
 // TransportQueue::cancel and the job unwinds as probe::CanceledError —
 // other tenants' jobs never notice.
 //
-// Shutdown (stop()): close the listener, wake every connection thread
-// through the shutdown pipe, SHUT_RDWR idle connections, let accepted
-// jobs finish (drain, not abort), join everything, flush the
-// StopSetSession, unlink the socket.
+// Shutdown (stop()): the listener closes and the socket is unlinked, idle
+// connections close, new JobRequests are refused, running jobs finish
+// (drain, not abort) and their frames are flushed, then the
+// StopSetSession is flushed.
 #ifndef MMLPT_DAEMON_SERVER_H
 #define MMLPT_DAEMON_SERVER_H
 
@@ -35,8 +43,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "daemon/admission.h"
 #include "daemon/fleet_job.h"
 #include "daemon/protocol.h"
@@ -65,8 +71,9 @@ class Daemon {
   Daemon(const Daemon&) = delete;
   Daemon& operator=(const Daemon&) = delete;
 
-  /// Bind + listen on config.socket_path and spawn the accept thread.
-  /// Throws SystemError when the socket cannot be set up.
+  /// Bind + listen on config.socket_path and spawn the loop thread.
+  /// Throws SystemError when the socket cannot be set up; a failed start
+  /// leaves no descriptor open.
   void start();
 
   /// Drain-and-exit: see the file comment. Idempotent; also runs from
@@ -75,7 +82,7 @@ class Daemon {
 
   [[nodiscard]] bool running() const noexcept {
     // relaxed: advisory liveness flag; start()/stop() synchronize with
-    // the worker threads through join and the shutdown pipe, not here.
+    // the loop thread through its spawn and join, not here.
     return running_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] const DaemonConfig& config() const noexcept { return config_; }
@@ -87,10 +94,18 @@ class Daemon {
   [[nodiscard]] obs::MetricsRegistry& metrics() noexcept { return metrics_; }
 
  private:
-  class Connection;
+  struct Connection;
 
-  void accept_loop();
-  void reap_finished_connections() MMLPT_REQUIRES(connections_mutex_);
+  void loop();
+  [[nodiscard]] bool reap(bool stopping);
+  void read_frames(Connection& connection, bool readable);
+  void handle_frame(Connection& connection, const Frame& frame);
+  void greet(Connection& connection, const Frame& frame);
+  void accept_job(Connection& connection, JobRequest request);
+  void run_job(Connection& connection, const JobRequest& request,
+               orchestrator::RateLimiter* tenant_limiter);
+  void wake();
+  void close_fds();
 
   DaemonConfig config_;
   /// Declared before fleet_: the scheduler (and everything it builds)
@@ -100,23 +115,22 @@ class Daemon {
   orchestrator::StopSetSession stop_set_session_;
   AdmissionController admission_;
 
-  // Job-outcome counters (one family, labeled by outcome), bumped by
-  // connections as their jobs finish.
+  // Job-outcome counters (one family, labeled by outcome), bumped as
+  // jobs finish or are refused.
   obs::Counter* jobs_completed_ = nullptr;
   obs::Counter* jobs_canceled_ = nullptr;
   obs::Counter* jobs_failed_ = nullptr;
   obs::Counter* jobs_refused_ = nullptr;
 
   std::atomic<bool> running_{false};
+  std::atomic<bool> stopping_{false};
   int listen_fd_ = -1;
-  int shutdown_pipe_[2] = {-1, -1};  ///< [read, write]; never drained
-  std::thread accept_thread_;
-
-  mutable Mutex connections_mutex_;
-  std::vector<std::unique_ptr<Connection>> connections_
-      MMLPT_GUARDED_BY(connections_mutex_);
-  std::uint64_t connections_accepted_ MMLPT_GUARDED_BY(connections_mutex_) =
-      0;
+  int wake_pipe_[2] = {-1, -1};  ///< [read, write], both non-blocking
+  /// Owned by the loop thread; status_json() reads only the counters.
+  std::vector<std::unique_ptr<Connection>> connections_;
+  std::atomic<std::uint64_t> connections_active_{0};
+  std::atomic<std::uint64_t> connections_accepted_{0};
+  std::thread loop_thread_;  ///< declared last: it uses every member above
 };
 
 }  // namespace mmlpt::daemon

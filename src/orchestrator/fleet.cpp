@@ -1,9 +1,11 @@
 #include "orchestrator/fleet.h"
 
+#include "common/assert.h"
+
 namespace mmlpt::orchestrator {
 
 FleetScheduler::FleetScheduler(FleetConfig config)
-    : config_(config), base_rng_(config.seed) {
+    : config_(config) {
   MMLPT_EXPECTS(config_.jobs >= 1);
   if (config_.pps > 0.0) {
     limiter_ = std::make_unique<RateLimiter>(config_.pps, config_.burst);

@@ -1,13 +1,13 @@
 // FleetScheduler: the survey-scale engine. N destination traces run
 // concurrently over a pool of `jobs` worker threads; every task owns its
-// whole probing stack (simulator, transport, ProbeEngine) and a
-// deterministically forked RNG stream, so a fleet run is a pure function
-// of (inputs, seed) — the thread count only changes wall-clock time,
-// never results.
+// whole probing stack (simulator, transport, ProbeEngine), seeded by the
+// caller from the task index, so a fleet run is a pure function of its
+// inputs — the thread count only changes wall-clock time, never results.
 //
 // Determinism contract:
-//   * Task i's randomness comes from Rng(seed).fork(i) — independent of
-//     which worker runs it and of how many draws other tasks made.
+//   * A task sees only its index and the shared limiter, never which
+//     worker runs it; callers derive every seed from the index (e.g.
+//     survey::ip_trace_seed).
 //   * Results are collected per task index; `on_result` fires in strict
 //     index order (a reorder buffer holds back early finishers), so
 //     streaming output and join-time merges see the serial order.
@@ -21,12 +21,9 @@
 //
 // Lifetime / re-entrancy: a FleetScheduler is NOT tied to a single run.
 // run_streaming() keeps every piece of mutable state local to the call
-// (base_rng_ is only fork()ed, never drawn from; the limiter is
-// internally synchronized), so a long-lived scheduler — the mmlptd
-// daemon owns exactly one — may execute MANY runs concurrently from
-// different threads. Each run's determinism still holds
-// independently: task i of a run draws from Rng(config.seed).fork(i)
-// regardless of what other runs are in flight.
+// (the limiter is internally synchronized), so a long-lived scheduler —
+// the mmlptd daemon owns exactly one — may execute MANY runs
+// concurrently from different threads, each as deterministic as alone.
 #ifndef MMLPT_ORCHESTRATOR_FLEET_H
 #define MMLPT_ORCHESTRATOR_FLEET_H
 
@@ -41,7 +38,6 @@
 #include <vector>
 
 #include "common/mutex.h"
-#include "common/rng.h"
 #include "common/thread_annotations.h"
 #include "orchestrator/rate_limiter.h"
 
@@ -50,8 +46,6 @@ namespace mmlpt::orchestrator {
 struct FleetConfig {
   /// Worker threads. 1 = serial on the calling thread (no threads spawned).
   int jobs = 1;
-  /// Base seed; task i draws from Rng(seed).fork(i).
-  std::uint64_t seed = 1;
   /// Fleet-wide probe budget in packets/second; <= 0 = unlimited.
   double pps = 0.0;
   /// Token-bucket burst capacity when pps > 0.
@@ -61,12 +55,10 @@ struct FleetConfig {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-/// Everything a task callback gets handed: its identity, its private
-/// random stream, and the shared limiter (nullptr when unlimited).
+/// Everything a task callback gets handed: its identity and the shared
+/// limiter (nullptr when unlimited).
 struct WorkerContext {
   std::size_t task_index;
-  int worker_id;
-  Rng rng;
   RateLimiter* limiter;
 };
 
@@ -100,15 +92,10 @@ class FleetScheduler {
                      OnResult&& on_result) {
     using R = std::invoke_result_t<TraceFn&, WorkerContext&>;
 
-    const auto make_context = [this](std::size_t task, int worker) {
-      return WorkerContext{task, worker, base_rng_.fork(task),
-                           limiter_.get()};
-    };
-
     if (config_.jobs <= 1 || task_count <= 1) {
       // Serial path: bit-for-bit the pre-orchestrator loops.
       for (std::size_t i = 0; i < task_count; ++i) {
-        auto context = make_context(i, 0);
+        WorkerContext context{i, limiter_.get()};
         auto result = trace(context);
         on_result(i, result);
       }
@@ -130,7 +117,7 @@ class FleetScheduler {
     std::vector<std::thread> workers;
     workers.reserve(static_cast<std::size_t>(jobs));
     for (int w = 0; w < jobs; ++w) {
-      workers.emplace_back([&, w] {
+      workers.emplace_back([&] {
         // relaxed on stop: advisory early-exit flag; the authoritative
         // error handoff happens under state.mutex.
         while (!stop.load(std::memory_order_relaxed)) {
@@ -141,7 +128,7 @@ class FleetScheduler {
               next_task.fetch_add(1, std::memory_order_relaxed);
           if (i >= task_count) break;
           try {
-            auto context = make_context(i, w);
+            WorkerContext context{i, limiter_.get()};
             auto result = trace(context);
             bool drain;
             {
@@ -215,7 +202,6 @@ class FleetScheduler {
   };
 
   FleetConfig config_;
-  Rng base_rng_;  ///< only fork(stream_id)ed — never drawn from
   std::unique_ptr<RateLimiter> limiter_;
 };
 

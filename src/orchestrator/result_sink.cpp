@@ -34,27 +34,11 @@ void ResultSink::commit_locked() {
   if (options_.fsync_each_line) sync_locked();
 }
 
-void ResultSink::emit(std::size_t index, std::string line) {
+void ResultSink::emit(std::size_t index, const std::string& line) {
   MutexLock lock(mutex_);
-  MMLPT_EXPECTS(index >= next_);  // each index emitted at most once
-  if (index != next_) {
-    // Held back for an earlier index: nothing hit the stream, so there
-    // is nothing to flush or fsync yet.
-    const bool inserted = pending_.emplace(index, std::move(line)).second;
-    MMLPT_EXPECTS(inserted);
-    return;
-  }
+  MMLPT_EXPECTS(index == written_);  // in index order, each exactly once
   *out_ << line << '\n';
   ++written_;
-  ++next_;
-  // Drain the contiguous prefix that this line unblocked.
-  for (auto it = pending_.begin();
-       it != pending_.end() && it->first == next_;) {
-    *out_ << it->second << '\n';
-    ++written_;
-    ++next_;
-    it = pending_.erase(it);
-  }
   commit_locked();
 }
 
@@ -66,11 +50,6 @@ void ResultSink::flush() {
 std::size_t ResultSink::lines_written() const {
   MutexLock lock(mutex_);
   return written_;
-}
-
-std::size_t ResultSink::buffered() const {
-  MutexLock lock(mutex_);
-  return pending_.size();
 }
 
 std::string destination_line(std::size_t index, const std::string& label,

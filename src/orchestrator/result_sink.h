@@ -1,15 +1,12 @@
-// Thread-safe streaming JSONL sink with deterministic ordering: workers
-// finish destinations in whatever order the scheduler dealt them, but the
-// output file must be byte-identical across runs and thread counts. The
-// sink therefore holds back out-of-order completions and writes each line
-// exactly when it becomes the next contiguous index — streaming (lines
-// appear while the fleet is still running) without sacrificing
-// reproducibility.
+// Thread-safe streaming JSONL sink. Lines arrive in index order from
+// FleetScheduler's ordered, serialized on_result hook (every producer
+// emits from there), so the output file is byte-identical across runs
+// and thread counts; the sink writes each line as it arrives and checks
+// that order rather than restoring it.
 #ifndef MMLPT_ORCHESTRATOR_RESULT_SINK_H
 #define MMLPT_ORCHESTRATOR_RESULT_SINK_H
 
 #include <cstddef>
-#include <map>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -48,26 +45,16 @@ class ResultSink {
   ResultSink(const ResultSink&) = delete;
   ResultSink& operator=(const ResultSink&) = delete;
 
-  /// Hand over line `index` (no trailing newline; the sink appends one).
-  /// Lines are written in strictly increasing index order; a line arriving
-  /// early is buffered until its predecessors land. Each index may be
-  /// emitted at most once.
-  ///
-  /// The ordering guarantee is the sink's own: callers may emit from any
-  /// thread in any order. When fed from FleetScheduler's on_result hook
-  /// (which already delivers in index order) the buffer simply stays
-  /// empty — the sink does not rely on that, so it stays correct for
-  /// producers with no ordered delivery of their own.
-  void emit(std::size_t index, std::string line);
+  /// Write line `index` (no trailing newline; the sink appends one).
+  /// Requires `index == lines_written()`: lines come in index order,
+  /// each exactly once.
+  void emit(std::size_t index, const std::string& line);
 
-  /// Flush the underlying stream. Buffered out-of-order lines stay
-  /// buffered — they are still waiting for a predecessor. Throws
-  /// SystemError when the stream has failed (as does emit()).
+  /// Flush the underlying stream. Throws SystemError when the stream has
+  /// failed (as does emit()).
   void flush();
 
   [[nodiscard]] std::size_t lines_written() const;
-  /// Completions currently held back waiting for an earlier index.
-  [[nodiscard]] std::size_t buffered() const;
 
  private:
   /// Flush the stream and, in fsync mode, fsync the descriptor; throws
@@ -80,9 +67,7 @@ class ResultSink {
   mutable Mutex mutex_;
   std::ostream* out_ MMLPT_PT_GUARDED_BY(mutex_);
   Options options_;
-  std::size_t next_ MMLPT_GUARDED_BY(mutex_) = 0;
   std::size_t written_ MMLPT_GUARDED_BY(mutex_) = 0;
-  std::map<std::size_t, std::string> pending_ MMLPT_GUARDED_BY(mutex_);
 };
 
 /// A JSONL output file as a std::ostream over a raw POSIX descriptor —

@@ -48,8 +48,10 @@ IpSurveyResult run_ip_survey(const IpSurveyConfig& config,
                                     "Probe packets handed to the transport",
                                     {{"transport", "sim"}})
           : nullptr;
-  orchestrator::FleetScheduler fleet(
-      {config.jobs, config.seed, config.pps, config.burst, config.metrics});
+  orchestrator::FleetScheduler fleet({.jobs = config.jobs,
+                                      .pps = config.pps,
+                                      .burst = config.burst,
+                                      .metrics = config.metrics});
   fleet.run_streaming(
       config.routes,
       [&](orchestrator::WorkerContext& context) {

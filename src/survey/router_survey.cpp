@@ -175,8 +175,10 @@ RouterSurveyResult run_router_survey(const RouterSurveyConfig& config,
                                     "Probe packets handed to the transport",
                                     {{"transport", "sim"}})
           : nullptr;
-  orchestrator::FleetScheduler fleet(
-      {config.jobs, config.seed, config.pps, config.burst, config.metrics});
+  orchestrator::FleetScheduler fleet({.jobs = config.jobs,
+                                      .pps = config.pps,
+                                      .burst = config.burst,
+                                      .metrics = config.metrics});
   const std::uint64_t base_seed = config.seed * 0x2545F491ULL + 99;
   fleet.run_streaming(
       config.routes,

@@ -5,11 +5,15 @@
 // cancel leaving other tenants untouched, admission control refusing the
 // over-cap job with an observable kRejected status, a connection
 // refusing a second job while its first runs, and the status document
-// carrying the admission counters.
+// carrying the admission counters. It also pins the serving shape: idle
+// clients cost the daemon no thread, a client that never reads stalls
+// no one else, and a failed start leaves no descriptor open.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,6 +50,10 @@ FleetJobSpec small_spec(std::uint64_t routes, std::uint64_t seed,
   spec.distinct = 6;
   return spec;
 }
+
+/// Destinations of a job that must still be running when the test
+/// cancels it: seconds of unthrottled probing.
+constexpr std::uint64_t kLongRoutes = 1024;
 
 /// The standalone reference: run the spec through a fresh single-worker
 /// scheduler, exactly `mmlpt_fleet --jobs 1`, and collect the lines.
@@ -172,14 +180,13 @@ TEST(DaemonE2E, MidTraceCancelLeavesOtherTenantsUntouched) {
   DaemonConfig config;
   config.socket_path = temp_socket_path();
   config.fleet.jobs = 2;
-  // Slow the shared fleet down enough that the canceled job is genuinely
-  // mid-flight when its Cancel frame lands.
-  config.fleet.pps = 600;
-  config.fleet.burst = 16;
   Daemon daemon(config);
   daemon.start();
 
-  const auto long_spec = small_spec(64, 3);
+  // The victim is long enough (seconds of probing) to be genuinely
+  // mid-flight when its Cancel frame lands. No rate limit: the
+  // bystander's job runs at full speed beside it.
+  const auto long_spec = small_spec(kLongRoutes, 3);
   const auto other_spec = small_spec(6, 11);
   ClientRun canceled, other;
   std::thread cancel_thread([&] {
@@ -213,8 +220,6 @@ TEST(DaemonE2E, OverCapJobIsRejectedWithoutDisturbingTheRunningOne) {
   DaemonConfig config;
   config.socket_path = temp_socket_path();
   config.fleet.jobs = 2;
-  config.fleet.pps = 400;  // hold the running job in flight for a while
-  config.fleet.burst = 16;
   config.admission.max_jobs_per_tenant = 1;
   Daemon daemon(config);
   daemon.start();
@@ -224,7 +229,8 @@ TEST(DaemonE2E, OverCapJobIsRejectedWithoutDisturbingTheRunningOne) {
   int cancel_pipe[2];
   ASSERT_EQ(::pipe(cancel_pipe), 0);
 
-  const auto long_spec = small_spec(64, 7);
+  // Long enough to hold the tenant's slot until the pipe cancels it.
+  const auto long_spec = small_spec(kLongRoutes, 7);
   ClientRun running;
   std::thread running_thread([&] {
     ClientRunOptions options;
@@ -357,6 +363,75 @@ TEST(DaemonE2E, SecondJobOnABusyConnectionIsRejected) {
   EXPECT_EQ(third.outcome, JobOutcome::kOk) << third.message;
   EXPECT_EQ(lines, reference_lines(spec));
   EXPECT_EQ(others.size(), 1u);
+}
+
+/// Entries in a /proc/self directory: threads under "task", open
+/// descriptors under "fd".
+std::size_t count_entries(const char* dir) {
+  const auto entries = std::filesystem::directory_iterator(dir);
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::begin(entries),
+                    std::filesystem::end(entries)));
+}
+
+TEST(DaemonE2E, IdleClientsCostNoThreads) {
+  DaemonConfig config;
+  config.socket_path = temp_socket_path();
+  Daemon daemon(config);
+  daemon.start();
+
+  const std::size_t before = count_entries("/proc/self/task");
+  std::vector<std::unique_ptr<Client>> clients;
+  for (int i = 0; i < 32; ++i) {
+    // The constructor returns once the HelloAck has arrived.
+    clients.push_back(std::make_unique<Client>(
+        config.socket_path, "idle-" + std::to_string(i)));
+  }
+  EXPECT_EQ(count_entries("/proc/self/task"), before);
+  EXPECT_NE(daemon.status_json().find("\"connections_active\":32"),
+            std::string::npos)
+      << daemon.status_json();
+}
+
+TEST(DaemonE2E, ClientThatNeverReadsStallsNoOtherTenant) {
+  DaemonConfig config;
+  config.socket_path = temp_socket_path();
+  config.fleet.jobs = 2;
+  Daemon daemon(config);
+  daemon.start();
+
+  // Thousands of status replies, far more than the socket buffer and the
+  // daemon's outbox cap hold: the daemon must stop reading this client
+  // rather than block on it or buffer without bound.
+  RawConnection flood(config.socket_path);
+  flood.send_together(std::vector<Frame>(4000, encode_status_request()));
+
+  const auto spec = small_spec(8, 5);
+  const auto other = run_client_job(config.socket_path, "reader", spec);
+  EXPECT_EQ(other.result.outcome, JobOutcome::kOk) << other.result.message;
+  EXPECT_EQ(other.lines, reference_lines(spec));
+  Client status_client(config.socket_path, "ops");
+  EXPECT_NE(status_client.server_status().find("\"jobs_admitted\":1"),
+            std::string::npos);
+
+  // Once the client reads, the daemon resumes and answers every request.
+  for (int i = 0; i < 4000; ++i) {
+    ASSERT_EQ(flood.next().type,
+              static_cast<std::uint8_t>(FrameType::kServerStatus))
+        << "reply " << i;
+  }
+}
+
+TEST(DaemonE2E, FailedStartLeavesNoDescriptorOpen) {
+  DaemonConfig config;
+  config.socket_path = "/nonexistent-mmlptd-dir/daemon.sock";  // bind fails
+  Daemon daemon(config);
+  const std::size_t before = count_entries("/proc/self/fd");
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_THROW(daemon.start(), SystemError);
+    EXPECT_FALSE(daemon.running());
+  }
+  EXPECT_EQ(count_entries("/proc/self/fd"), before);
 }
 
 TEST(DaemonE2E, StatusDocumentExposesAdmissionState) {

@@ -3,10 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "orchestrator/result_sink.h"
@@ -25,7 +25,7 @@ auto collect(FleetScheduler& fleet, std::size_t task_count, TraceFn&& trace) {
 }
 
 TEST(FleetScheduler, RunsEveryTaskExactlyOnce) {
-  FleetScheduler fleet({/*jobs=*/4, /*seed=*/1});
+  FleetScheduler fleet({.jobs = 4});
   std::atomic<int> calls{0};
   const auto results = collect(fleet, 100, [&](WorkerContext& context) {
     calls.fetch_add(1);
@@ -40,19 +40,17 @@ TEST(FleetScheduler, RunsEveryTaskExactlyOnce) {
 
 TEST(FleetScheduler, SerialAndParallelResultsMatch) {
   const auto run_with = [](int jobs) {
-    FleetScheduler fleet({jobs, /*seed=*/42});
+    FleetScheduler fleet({.jobs = jobs});
     return collect(fleet, 64, [](WorkerContext& context) {
-      // Task-private randomness: pure in (seed, task_index).
-      std::uint64_t acc = 0;
-      for (int i = 0; i < 10; ++i) acc ^= context.rng.uniform(0, 1u << 30);
-      return acc;
+      // A payload pure in the task index, as every real task's seed is.
+      return (context.task_index + 1) * 0x9E3779B97F4A7C15ULL;
     });
   };
   EXPECT_EQ(run_with(1), run_with(8));
 }
 
 TEST(FleetScheduler, OnResultFiresInIndexOrder) {
-  FleetScheduler fleet({/*jobs=*/8, /*seed=*/1});
+  FleetScheduler fleet({.jobs = 8});
   std::vector<std::size_t> emitted;
   fleet.run_streaming(
       50, [](WorkerContext& context) { return context.task_index; },
@@ -69,13 +67,13 @@ TEST(FleetScheduler, StreamsThroughResultSinkDeterministically) {
     std::ostringstream out;
     {
       ResultSink sink(out);
-      FleetScheduler fleet({jobs, /*seed=*/7});
+      FleetScheduler fleet({.jobs = jobs});
       std::size_t emitted = 0;
       fleet.run_streaming(
           30,
           [](WorkerContext& context) {
             return "task-" + std::to_string(context.task_index) + "-" +
-                   std::to_string(context.rng.uniform(0, 999));
+                   std::to_string(context.task_index * 37 % 1000);
           },
           [&](std::size_t index, std::string& line) {
             sink.emit(index, line);
@@ -90,23 +88,8 @@ TEST(FleetScheduler, StreamsThroughResultSinkDeterministically) {
   EXPECT_EQ(serial, run_with(16));
 }
 
-TEST(FleetScheduler, WorkerRngStreamsAreTaskNotWorkerBound) {
-  // With 1 task per worker vs all tasks on one worker, task i's stream
-  // must be identical — the context RNG is forked by task index.
-  FleetScheduler fleet({/*jobs=*/1, /*seed=*/5});
-  const auto draws = collect(fleet, 8, [](WorkerContext& context) {
-    return context.rng.uniform(0, 1u << 30);
-  });
-  const std::set<std::uint64_t> unique(draws.begin(), draws.end());
-  EXPECT_EQ(unique.size(), draws.size());  // distinct streams per task
-  FleetScheduler wide({/*jobs=*/8, /*seed=*/5});
-  EXPECT_EQ(draws, collect(wide, 8, [](WorkerContext& context) {
-    return context.rng.uniform(0, 1u << 30);
-  }));
-}
-
 TEST(FleetScheduler, RunStreamingConsumesEveryResultInOrder) {
-  FleetScheduler fleet({/*jobs=*/8, /*seed=*/3});
+  FleetScheduler fleet({.jobs = 8});
   std::vector<std::size_t> emitted;
   std::uint64_t sum = 0;
   fleet.run_streaming(
@@ -122,7 +105,7 @@ TEST(FleetScheduler, RunStreamingConsumesEveryResultInOrder) {
 }
 
 TEST(FleetScheduler, PropagatesTheFirstTaskException) {
-  FleetScheduler fleet({/*jobs=*/4, /*seed=*/1});
+  FleetScheduler fleet({.jobs = 4});
   EXPECT_THROW((void)collect(fleet, 32,
                              [](WorkerContext& context) -> int {
                                if (context.task_index == 13) {
@@ -136,21 +119,21 @@ TEST(FleetScheduler, PropagatesTheFirstTaskException) {
 TEST(FleetScheduler, JobsOneNeverSpawnsThreads) {
   // The serial path runs on the calling thread, in order — observable
   // via strictly increasing task indices with no interleaving.
-  FleetScheduler fleet({/*jobs=*/1, /*seed=*/1});
+  FleetScheduler fleet({.jobs = 1});
   std::vector<std::size_t> order;
+  const auto caller = std::this_thread::get_id();
   (void)collect(fleet, 20, [&](WorkerContext& context) {
     order.push_back(context.task_index);  // unsynchronized: safe iff serial
-    EXPECT_EQ(context.worker_id, 0);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
     return 0;
   });
   for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(FleetScheduler, BuildsALimiterOnlyWhenRateLimited) {
-  FleetScheduler unlimited({/*jobs=*/2, /*seed=*/1, /*pps=*/0.0});
+  FleetScheduler unlimited({.jobs = 2, .pps = 0.0});
   EXPECT_EQ(unlimited.limiter(), nullptr);
-  FleetScheduler limited({/*jobs=*/2, /*seed=*/1, /*pps=*/100.0,
-                          /*burst=*/16});
+  FleetScheduler limited({.jobs = 2, .pps = 100.0, .burst = 16});
   ASSERT_NE(limited.limiter(), nullptr);
   EXPECT_DOUBLE_EQ(limited.limiter()->packets_per_second(), 100.0);
   EXPECT_EQ(limited.limiter()->burst(), 16);

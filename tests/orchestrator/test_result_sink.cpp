@@ -7,8 +7,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "common/error.h"
 
@@ -23,54 +21,16 @@ TEST(ResultSink, WritesInOrderImmediately) {
   sink.emit(1, "b");
   EXPECT_EQ(out.str(), "a\nb\n");
   EXPECT_EQ(sink.lines_written(), 2u);
-  EXPECT_EQ(sink.buffered(), 0u);
 }
 
-TEST(ResultSink, HoldsBackOutOfOrderCompletions) {
+TEST(ResultSink, RefusesALineOutOfIndexOrder) {
   std::ostringstream out;
   ResultSink sink(out);
-  sink.emit(2, "c");
-  sink.emit(1, "b");
-  EXPECT_EQ(out.str(), "");  // nothing until index 0 lands
-  EXPECT_EQ(sink.buffered(), 2u);
-  sink.emit(0, "a");  // unblocks the whole contiguous prefix
-  EXPECT_EQ(out.str(), "a\nb\nc\n");
-  EXPECT_EQ(sink.buffered(), 0u);
-  EXPECT_EQ(sink.lines_written(), 3u);
-}
-
-TEST(ResultSink, DrainsOnlyTheContiguousPrefix) {
-  std::ostringstream out;
-  ResultSink sink(out);
-  sink.emit(3, "d");
   sink.emit(0, "a");
-  EXPECT_EQ(out.str(), "a\n");  // 3 still waits for 1 and 2
-  EXPECT_EQ(sink.buffered(), 1u);
-  sink.emit(1, "b");
-  sink.emit(2, "c");
-  EXPECT_EQ(out.str(), "a\nb\nc\nd\n");
-}
-
-TEST(ResultSink, ConcurrentEmittersProduceOrderedOutput) {
-  std::ostringstream out;
-  ResultSink sink(out);
-  constexpr int kLines = 200;
-  std::vector<std::thread> workers;
-  for (int w = 0; w < 4; ++w) {
-    workers.emplace_back([&, w] {
-      for (int i = w; i < kLines; i += 4) {
-        sink.emit(static_cast<std::size_t>(i), std::to_string(i));
-      }
-    });
-  }
-  for (auto& worker : workers) worker.join();
-  std::string expected;
-  for (int i = 0; i < kLines; ++i) {
-    expected += std::to_string(i);
-    expected += '\n';
-  }
-  EXPECT_EQ(out.str(), expected);
-  EXPECT_EQ(sink.lines_written(), static_cast<std::size_t>(kLines));
+  EXPECT_THROW(sink.emit(2, "c"), ContractViolation);  // a gap
+  EXPECT_THROW(sink.emit(0, "a"), ContractViolation);  // a repeat
+  EXPECT_EQ(out.str(), "a\n");
+  EXPECT_EQ(sink.lines_written(), 1u);
 }
 
 /// A temp path that cleans up after itself.
@@ -87,11 +47,11 @@ TEST(ResultSinkFsync, EveryCommittedLineIsDurableOnDisk) {
   ASSERT_GE(file.fd(), 0);
   ResultSink sink(file.stream(), ResultSink::Options{true, file.fd()});
 
-  // Out-of-order emit: the drained prefix must be ON DISK (not just in a
-  // userspace buffer) the moment emit() returns — read it back through
-  // an independent descriptor without any flush of our own.
-  sink.emit(1, "{\"index\":1}");
+  // Each line must be ON DISK (not just in a userspace buffer) the
+  // moment emit() returns — read it back through an independent
+  // descriptor without any flush of our own.
   sink.emit(0, "{\"index\":0}");
+  sink.emit(1, "{\"index\":1}");
   {
     std::ifstream readback(temp.path);
     std::stringstream content;

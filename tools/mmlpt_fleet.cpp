@@ -83,7 +83,6 @@ int run_fleet(const Flags& flags) {
   const auto fleet_options = tools::parse_fleet_options(flags);
   orchestrator::FleetConfig fleet_config;
   fleet_config.jobs = fleet_options.jobs;
-  fleet_config.seed = spec.seed;
   fleet_config.pps = fleet_options.pps;
   fleet_config.burst = fleet_options.burst;
 
@@ -126,8 +125,8 @@ int run_fleet(const Flags& flags) {
   shutdown.link(&cancel);
 
   daemon::FleetJobHooks hooks;
-  hooks.on_line = [&](std::size_t i, std::string line) {
-    sink.emit(i, std::move(line));
+  hooks.on_line = [&](std::size_t i, const std::string& line) {
+    sink.emit(i, line);
   };
   hooks.cancel = &cancel;
 
