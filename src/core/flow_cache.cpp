@@ -6,19 +6,18 @@ namespace mmlpt::core {
 
 void FlowCache::prefetch(std::span<const ProbeRequest> requests) {
   std::vector<ProbeRequest> fresh;
-  std::vector<decltype(results_)::iterator> slots;
+  std::vector<Entry*> slots;
   fresh.reserve(requests.size());
   slots.reserve(requests.size());
   for (const auto& request : requests) {
     MMLPT_EXPECTS(request.ttl >= 1);
-    const auto key = std::make_pair(static_cast<int>(request.ttl),
-                                    request.flow);
     // emplace: the first occurrence of a duplicated (flow, ttl) wins and
     // an entry already fetched or consumed is left alone.
-    const auto [it, inserted] = results_.emplace(key, Entry{});
+    const auto [it, inserted] =
+        results_.emplace(key(request.flow, request.ttl), Entry{});
     if (inserted) {
       fresh.push_back(request);
-      slots.push_back(it);
+      slots.push_back(&it->second);
     }
   }
   if (fresh.empty()) return;
@@ -26,7 +25,7 @@ void FlowCache::prefetch(std::span<const ProbeRequest> requests) {
   auto batched = engine_->probe_batch(fresh);
   MMLPT_ASSERT(batched.size() == fresh.size());
   for (std::size_t i = 0; i < fresh.size(); ++i) {
-    slots[i]->second.result = std::move(batched[i]);
+    slots[i]->result = std::move(batched[i]);
   }
 }
 
@@ -34,7 +33,7 @@ const probe::TraceProbeResult& FlowCache::consume(FlowId flow, int ttl,
                                                   Entry& entry) {
   entry.consumed = true;
   packets_accounted_ += static_cast<std::uint64_t>(entry.result.attempts);
-  flows_by_ttl_[ttl].push_back(flow);
+  flows_by_ttl_[static_cast<std::size_t>(ttl)].push_back(flow);
   const auto& stored = entry.result;
   if (stored.answered) {
     by_responder_[{ttl, stored.responder}].push_back(flow);
@@ -46,8 +45,8 @@ const probe::TraceProbeResult& FlowCache::consume(FlowId flow, int ttl,
 
 const probe::TraceProbeResult& FlowCache::probe(FlowId flow, int ttl) {
   MMLPT_EXPECTS(ttl >= 1 && ttl <= 255);
-  const auto key = std::make_pair(ttl, flow);
-  const auto it = results_.find(key);
+  const auto slot = key(flow, ttl);
+  const auto it = results_.find(slot);
   if (it != results_.end()) {
     if (it->second.consumed) return it->second.result;
     return consume(flow, ttl, it->second);  // prefetched: consume in place
@@ -55,20 +54,23 @@ const probe::TraceProbeResult& FlowCache::probe(FlowId flow, int ttl) {
 
   Entry entry;
   entry.result = engine_->probe(flow, static_cast<std::uint8_t>(ttl));
-  const auto [inserted, ok] = results_.emplace(key, std::move(entry));
+  const auto [inserted, ok] = results_.emplace(slot, std::move(entry));
   return consume(flow, ttl, inserted->second);
 }
 
 const probe::TraceProbeResult* FlowCache::lookup(FlowId flow, int ttl) const {
-  const auto it = results_.find(std::make_pair(ttl, flow));
+  const auto it = results_.find(key(flow, ttl));
   if (it == results_.end() || !it->second.consumed) return nullptr;
   return &it->second.result;
 }
 
 const std::vector<FlowId>& FlowCache::flows_at(int ttl) const {
+  // A hop with no flow yet answers the shared empty list, which never
+  // grows: callers holding the reference see only a list that existed.
   static const std::vector<FlowId> kEmpty;
-  const auto it = flows_by_ttl_.find(ttl);
-  return it == flows_by_ttl_.end() ? kEmpty : it->second;
+  const auto hop = static_cast<std::size_t>(ttl);
+  if (hop >= flows_by_ttl_.size() || flows_by_ttl_[hop].empty()) return kEmpty;
+  return flows_by_ttl_[hop];
 }
 
 const std::vector<FlowId>& FlowCache::flows_reaching(

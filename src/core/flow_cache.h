@@ -18,9 +18,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <span>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/stop_set.h"
@@ -38,7 +39,9 @@ class FlowCache {
   using ProbeRequest = probe::ProbeEngine::ProbeRequest;
 
   explicit FlowCache(probe::ProbeEngine& engine)
-      : engine_(&engine), packets_base_(engine.packets_sent()) {}
+      : engine_(&engine),
+        flows_by_ttl_(256),
+        packets_base_(engine.packets_sent()) {}
 
   /// Called after every *fresh* answered probe (cache hits do not re-fire).
   /// With prefetching the observer fires when the probe is CONSUMED via
@@ -75,7 +78,10 @@ class FlowCache {
   [[nodiscard]] const probe::TraceProbeResult* lookup(FlowId flow,
                                                       int ttl) const;
 
-  /// Flows already probed at `ttl`, in probe (consumption) order.
+  /// Flows already probed at `ttl`, in probe (consumption) order. Once
+  /// a flow has been probed there, the returned reference stays valid and
+  /// grows with later probes at `ttl`; before that it is a shared empty
+  /// list that never grows.
   [[nodiscard]] const std::vector<FlowId>& flows_at(int ttl) const;
 
   /// Flows known (from cached probes) to reach `addr` at `ttl`. The
@@ -111,16 +117,32 @@ class FlowCache {
     bool consumed = false;
   };
 
+  using ResponderKey = std::pair<int, net::Ipv4Address>;
+  struct ResponderHash {
+    std::size_t operator()(const ResponderKey& key) const noexcept {
+      return std::hash<net::Ipv4Address>{}(key.second) * 31 +
+             static_cast<std::size_t>(key.first);
+    }
+  };
+
+  /// results_ key: the TTL above the 32-bit flow id.
+  static std::uint64_t key(FlowId flow, int ttl) noexcept {
+    return (static_cast<std::uint64_t>(ttl) << 32) | flow;
+  }
+
   /// Consumption bookkeeping shared by the hit and miss paths of probe().
   const probe::TraceProbeResult& consume(FlowId flow, int ttl, Entry& entry);
 
   probe::ProbeEngine* engine_;
   Observer observer_;
   StopSet* stop_set_ = nullptr;
-  std::map<std::pair<int, FlowId>, Entry> results_;
-  std::map<int, std::vector<FlowId>> flows_by_ttl_;
-  /// (ttl, responder) -> flows; std::map for reference stability.
-  mutable std::map<std::pair<int, net::Ipv4Address>, std::vector<FlowId>>
+  // Hash maps are node-based: a rehash moves no element, so an Entry* (as
+  // prefetch holds) and a flows_reaching() reference stay valid.
+  std::unordered_map<std::uint64_t, Entry> results_;
+  /// Indexed by TTL, all 256 made up front so none ever moves.
+  std::vector<std::vector<FlowId>> flows_by_ttl_;
+  /// (ttl, responder) -> flows.
+  mutable std::unordered_map<ResponderKey, std::vector<FlowId>, ResponderHash>
       by_responder_;
   FlowId next_flow_ = 0;
   std::uint64_t packets_base_ = 0;

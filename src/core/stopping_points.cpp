@@ -1,15 +1,85 @@
 #include "core/stopping_points.h"
 
+#include <array>
+#include <atomic>
 #include <cmath>
+#include <map>
+#include <memory>
 
 #include "common/assert.h"
+#include "common/mutex.h"
 #include "common/stats.h"
 
 namespace mmlpt::core {
 
+// n_k for one epsilon, shared by every StoppingPoints with that epsilon.
+// values_[1..filled_) is the filled prefix: each value is written before
+// filled_ is raised past it (release), and a reader loads filled_
+// (acquire) before reading below it, so reads take no lock. Extending
+// the prefix takes grow_. Stopping points past kCapacity cost seconds
+// each to compute and never occur in practice; they are recomputed from
+// the last stored value on every call rather than stored.
+class StoppingPoints::Table {
+ public:
+  explicit Table(double epsilon) : epsilon_(epsilon) {}
+
+  /// The table for `epsilon`, created on first use.
+  static Table& for_epsilon(double epsilon);
+
+  int n(int k) {
+    const auto index = static_cast<std::size_t>(k);
+    if (index < filled_.load(std::memory_order_acquire)) return values_[index];
+    if (index < kCapacity) return grow(index);
+    int value = grow(kCapacity - 1);
+    for (auto j = static_cast<int>(kCapacity); j <= k; ++j) {
+      value = next(j, value);
+    }
+    return value;
+  }
+
+ private:
+  static constexpr std::size_t kCapacity = 1024;
+
+  /// n_k given n_{k-1}: n_k grows roughly linearly in k, and the scan
+  /// starts from the previous value (n_k is non-decreasing in k).
+  [[nodiscard]] int next(int k, int previous) const {
+    int n = k >= 2 ? previous : 1;
+    while (miss_probability(n, k + 1) > epsilon_) ++n;
+    return n;
+  }
+
+  int grow(std::size_t index) MMLPT_EXCLUDES(grow_) {
+    MutexLock lock(grow_);
+    // relaxed: filled_ is only stored under grow_, which this thread holds.
+    for (auto k = filled_.load(std::memory_order_relaxed); k <= index; ++k) {
+      values_[k] = next(static_cast<int>(k), values_[k - 1]);
+      filled_.store(k + 1, std::memory_order_release);
+    }
+    return values_[index];
+  }
+
+  const double epsilon_;
+  Mutex grow_;
+  std::atomic<std::size_t> filled_{1};  ///< values_[0] is unused
+  std::array<int, kCapacity> values_{};
+};
+
+StoppingPoints::Table& StoppingPoints::Table::for_epsilon(double epsilon) {
+  struct Registry {
+    Mutex mutex;
+    std::map<double, std::unique_ptr<Table>> tables MMLPT_GUARDED_BY(mutex);
+  };
+  // Leaked so that threads still tracing at exit never see it destroyed.
+  static auto* const registry = new Registry;
+  MutexLock lock(registry->mutex);
+  auto& table = registry->tables[epsilon];
+  if (!table) table = std::make_unique<Table>(epsilon);
+  return *table;
+}
+
 StoppingPoints::StoppingPoints(double epsilon) : epsilon_(epsilon) {
   MMLPT_EXPECTS(epsilon > 0.0 && epsilon < 1.0);
-  cache_.assign(1, 0);
+  table_ = &Table::for_epsilon(epsilon);
 }
 
 StoppingPoints StoppingPoints::from_epsilon(double epsilon) {
@@ -45,15 +115,7 @@ double StoppingPoints::miss_probability(int n, int successor_count) {
 
 int StoppingPoints::n(int k) const {
   MMLPT_EXPECTS(k >= 1);
-  while (static_cast<int>(cache_.size()) <= k) {
-    const int next_k = static_cast<int>(cache_.size());
-    // n_k grows roughly linearly in k; start the scan from the previous
-    // value (n_k is non-decreasing in k).
-    int n = next_k >= 2 ? cache_[next_k - 1] : 1;
-    while (miss_probability(n, next_k + 1) > epsilon_) ++n;
-    cache_.push_back(n);
-  }
-  return cache_[static_cast<std::size_t>(k)];
+  return table_->n(k);
 }
 
 std::vector<int> StoppingPoints::table(int count) const {

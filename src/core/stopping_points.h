@@ -33,8 +33,10 @@ class StoppingPoints {
   /// for_global(0.05, 13).
   [[nodiscard]] static StoppingPoints veitch_table1();
 
-  /// Stopping point once k successors are known (k >= 1). Values are
-  /// computed lazily and cached; k may be arbitrarily large.
+  /// Stopping point once k successors are known (k >= 1); k may be
+  /// arbitrarily large. Every instance with the same epsilon reads one
+  /// process-wide table, which the first call past its filled prefix
+  /// extends; calls may come from any thread.
   [[nodiscard]] int n(int k) const;
 
   /// The first `count` stopping points as a dense vector indexed by k
@@ -50,10 +52,12 @@ class StoppingPoints {
   [[nodiscard]] static double miss_probability(int n, int successor_count);
 
  private:
+  class Table;  ///< the shared n_k values for one epsilon
+
   explicit StoppingPoints(double epsilon);
 
   double epsilon_;
-  mutable std::vector<int> cache_;  ///< cache_[k] = n_k, cache_[0] unused
+  Table* table_;  ///< process-wide, never freed
 };
 
 }  // namespace mmlpt::core

@@ -42,18 +42,21 @@ Ipv4Header Ipv4Header::parse(WireReader& reader, bool verify_checksum) {
     throw ParseError("IPv4 IHL too small: " + std::to_string(ihl));
   }
 
+  // One bounds check for the rest of the fixed header; the field reads
+  // below are over a span whose size the compiler knows.
+  WireReader fixed(reader.bytes(kIpv4HeaderSize - 1));
   Ipv4Header h;
   h.header_length = static_cast<std::uint8_t>(ihl);
-  h.tos = reader.u8();
-  h.total_length = reader.u16();
-  h.identification = reader.u16();
-  const std::uint16_t flags_frag = reader.u16();
+  h.tos = fixed.u8();
+  h.total_length = fixed.u16();
+  h.identification = fixed.u16();
+  const std::uint16_t flags_frag = fixed.u16();
   h.dont_fragment = (flags_frag & 0x4000) != 0;
-  h.ttl = reader.u8();
-  h.protocol = static_cast<IpProto>(reader.u8());
-  h.checksum = reader.u16();
-  h.src = Ipv4Address(reader.u32());
-  h.dst = Ipv4Address(reader.u32());
+  h.ttl = fixed.u8();
+  h.protocol = static_cast<IpProto>(fixed.u8());
+  h.checksum = fixed.u16();
+  h.src = Ipv4Address(fixed.u32());
+  h.dst = Ipv4Address(fixed.u32());
   if (ihl > kIpv4HeaderSize) {
     reader.skip(ihl - kIpv4HeaderSize);  // options
   }

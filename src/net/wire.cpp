@@ -4,20 +4,6 @@
 
 namespace mmlpt::net {
 
-void WireWriter::u8(std::uint8_t v) { buffer_.push_back(v); }
-
-void WireWriter::u16(std::uint16_t v) {
-  buffer_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buffer_.push_back(static_cast<std::uint8_t>(v & 0xFF));
-}
-
-void WireWriter::u32(std::uint32_t v) {
-  buffer_.push_back(static_cast<std::uint8_t>(v >> 24));
-  buffer_.push_back(static_cast<std::uint8_t>((v >> 16) & 0xFF));
-  buffer_.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
-  buffer_.push_back(static_cast<std::uint8_t>(v & 0xFF));
-}
-
 void WireWriter::bytes(std::span<const std::uint8_t> data) {
   buffer_.insert(buffer_.end(), data.begin(), data.end());
 }
@@ -34,47 +20,10 @@ void WireWriter::patch_u16(std::size_t at, std::uint16_t v) {
   buffer_[at + 1] = static_cast<std::uint8_t>(v & 0xFF);
 }
 
-void WireReader::require(std::size_t count) const {
-  if (offset_ + count > data_.size()) {
-    throw ParseError("truncated packet: need " + std::to_string(count) +
-                     " bytes at offset " + std::to_string(offset_) +
-                     ", have " + std::to_string(data_.size() - offset_));
-  }
-}
-
-std::uint8_t WireReader::u8() {
-  require(1);
-  return data_[offset_++];
-}
-
-std::uint16_t WireReader::u16() {
-  require(2);
-  const std::uint16_t v = (std::uint16_t{data_[offset_]} << 8) |
-                          std::uint16_t{data_[offset_ + 1]};
-  offset_ += 2;
-  return v;
-}
-
-std::uint32_t WireReader::u32() {
-  require(4);
-  const std::uint32_t v = (std::uint32_t{data_[offset_]} << 24) |
-                          (std::uint32_t{data_[offset_ + 1]} << 16) |
-                          (std::uint32_t{data_[offset_ + 2]} << 8) |
-                          std::uint32_t{data_[offset_ + 3]};
-  offset_ += 4;
-  return v;
-}
-
-std::span<const std::uint8_t> WireReader::bytes(std::size_t count) {
-  require(count);
-  const auto view = data_.subspan(offset_, count);
-  offset_ += count;
-  return view;
-}
-
-void WireReader::skip(std::size_t count) {
-  require(count);
-  offset_ += count;
+void WireReader::truncated(std::size_t count) const {
+  throw ParseError("truncated packet: need " + std::to_string(count) +
+                   " bytes at offset " + std::to_string(offset_) + ", have " +
+                   std::to_string(data_.size() - offset_));
 }
 
 std::span<const std::uint8_t> WireReader::window(std::size_t start,

@@ -1,4 +1,7 @@
-// Big-endian (network byte order) buffer reader and writer.
+// Big-endian (network byte order) buffer reader and writer. The fixed-width
+// field accessors are defined here so every header parse and build inlines
+// them: a read is one bounds check plus the load, and only the throw on a
+// short buffer (WireReader::truncated) is out of line.
 #ifndef MMLPT_NET_WIRE_H
 #define MMLPT_NET_WIRE_H
 
@@ -15,9 +18,17 @@ class WireWriter {
   WireWriter() = default;
   explicit WireWriter(std::size_t reserve) { buffer_.reserve(reserve); }
 
-  void u8(std::uint8_t v);
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
+  void u8(std::uint8_t v) { buffer_.push_back(v); }
+  void u16(std::uint16_t v) {
+    buffer_.push_back(static_cast<std::uint8_t>(v >> 8));
+    buffer_.push_back(static_cast<std::uint8_t>(v & 0xFF));
+  }
+  void u32(std::uint32_t v) {
+    buffer_.push_back(static_cast<std::uint8_t>(v >> 24));
+    buffer_.push_back(static_cast<std::uint8_t>((v >> 16) & 0xFF));
+    buffer_.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
+    buffer_.push_back(static_cast<std::uint8_t>(v & 0xFF));
+  }
   void bytes(std::span<const std::uint8_t> data);
   void zeros(std::size_t count);
 
@@ -36,17 +47,45 @@ class WireWriter {
   std::vector<std::uint8_t> buffer_;
 };
 
-/// Reads network-byte-order fields from a byte span. Throws
-/// mmlpt::ParseError when reads run past the end.
+/// Reads network-byte-order fields from a byte span. Every read checks
+/// that the bytes are there and throws mmlpt::ParseError ("truncated
+/// packet: ...") when it would run past the end. A parser that reads a
+/// fixed-size header can take it with one bytes() call and read the
+/// fields from a WireReader over that span.
 class WireReader {
  public:
   explicit WireReader(std::span<const std::uint8_t> data) : data_(data) {}
 
-  [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::uint16_t u16();
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::span<const std::uint8_t> bytes(std::size_t count);
-  void skip(std::size_t count);
+  [[nodiscard]] std::uint8_t u8() {
+    require(1);
+    return data_[offset_++];
+  }
+  [[nodiscard]] std::uint16_t u16() {
+    require(2);
+    const auto v = static_cast<std::uint16_t>(
+        (std::uint16_t{data_[offset_]} << 8) | data_[offset_ + 1]);
+    offset_ += 2;
+    return v;
+  }
+  [[nodiscard]] std::uint32_t u32() {
+    require(4);
+    const std::uint32_t v = (std::uint32_t{data_[offset_]} << 24) |
+                            (std::uint32_t{data_[offset_ + 1]} << 16) |
+                            (std::uint32_t{data_[offset_ + 2]} << 8) |
+                            std::uint32_t{data_[offset_ + 3]};
+    offset_ += 4;
+    return v;
+  }
+  [[nodiscard]] std::span<const std::uint8_t> bytes(std::size_t count) {
+    require(count);
+    const auto view = data_.subspan(offset_, count);
+    offset_ += count;
+    return view;
+  }
+  void skip(std::size_t count) {
+    require(count);
+    offset_ += count;
+  }
 
   [[nodiscard]] std::size_t offset() const noexcept { return offset_; }
   [[nodiscard]] std::size_t remaining() const noexcept {
@@ -60,7 +99,10 @@ class WireReader {
                                                      std::size_t length) const;
 
  private:
-  void require(std::size_t count) const;
+  void require(std::size_t count) const {
+    if (count > data_.size() - offset_) truncated(count);
+  }
+  [[noreturn]] void truncated(std::size_t count) const;
 
   std::span<const std::uint8_t> data_;
   std::size_t offset_ = 0;

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstring>
@@ -71,6 +72,9 @@ class Reader {
     return net::IpAddress::v6(bytes);
   }
   [[nodiscard]] bool done() const noexcept { return pos_ == data_.size(); }
+  [[nodiscard]] std::size_t remaining() const noexcept {
+    return data_.size() - pos_;
+  }
 
  private:
   const std::uint8_t* take(std::size_t n) {
@@ -144,10 +148,17 @@ std::string encode_snapshot(const TopologySnapshot& snapshot) {
 }
 
 TopologySnapshot decode_snapshot(std::string_view payload) {
+  // Encoded record sizes: a tagged address (1 + 16 bytes), a u16
+  // distance and, for a destination, a u64 probe count. A count is only
+  // trusted as far as the bytes left could hold that many records, so a
+  // corrupt u32 cannot drive a multi-gigabyte reserve.
+  constexpr std::size_t kHopBytes = 19;
+  constexpr std::size_t kDestinationBytes = 27;
   Reader reader(payload);
   TopologySnapshot snapshot;
   const auto hop_count = reader.u32();
-  snapshot.hops.reserve(hop_count);
+  snapshot.hops.reserve(
+      std::min<std::size_t>(hop_count, reader.remaining() / kHopBytes));
   for (std::uint32_t i = 0; i < hop_count; ++i) {
     HopRecord hop;
     hop.addr = reader.addr();
@@ -155,7 +166,8 @@ TopologySnapshot decode_snapshot(std::string_view payload) {
     snapshot.hops.push_back(hop);
   }
   const auto dest_count = reader.u32();
-  snapshot.destinations.reserve(dest_count);
+  snapshot.destinations.reserve(std::min<std::size_t>(
+      dest_count, reader.remaining() / kDestinationBytes));
   for (std::uint32_t i = 0; i < dest_count; ++i) {
     DestinationEntry dest;
     dest.addr = reader.addr();

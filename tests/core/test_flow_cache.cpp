@@ -164,5 +164,45 @@ TEST(FlowCache, PacketsMatchesEngineWheneverEverythingIsConsumed) {
   EXPECT_EQ(rig.cache.packets(), rig.engine.packets_sent());
 }
 
+TEST(FlowCache, ExtremeFlowIdAndTtlKeepDistinctEntries) {
+  // The cache keys on (ttl << 32) | flow: the largest flow id at one TTL
+  // must not meet flow 0 at the next, and TTL 255 must work.
+  Rig rig;
+  constexpr FlowId kMax = 0xFFFFFFFFU;
+  (void)rig.cache.probe(kMax, 1);
+  EXPECT_EQ(rig.cache.lookup(0, 2), nullptr);
+  (void)rig.cache.probe(0, 2);
+  (void)rig.cache.probe(kMax, 255);
+  EXPECT_NE(rig.cache.lookup(kMax, 1), nullptr);
+  EXPECT_NE(rig.cache.lookup(0, 2), nullptr);
+  EXPECT_NE(rig.cache.lookup(kMax, 255), nullptr);
+  EXPECT_EQ(rig.cache.lookup(0, 255), nullptr);
+  EXPECT_EQ(rig.cache.flows_at(1), (std::vector<FlowId>{kMax}));
+  EXPECT_EQ(rig.cache.flows_at(255), (std::vector<FlowId>{kMax}));
+  EXPECT_EQ(rig.cache.packets_accounted(), 3u);
+}
+
+TEST(FlowCache, PrefetchWindowThatRehashesStillFillsEverySlot) {
+  // Thousands of fresh entries in one window grow the hash map through
+  // many rehashes while prefetch still holds pointers to the earliest
+  // ones; every slot must come back with the reply a serial probe gets.
+  Rig rig;
+  Rig serial;
+  std::vector<FlowCache::ProbeRequest> requests;
+  for (FlowId flow = 0; flow < 2000; ++flow) {
+    requests.push_back({flow, static_cast<std::uint8_t>(1 + flow % 3)});
+  }
+  rig.cache.prefetch(requests);
+  for (const auto& [flow, ttl] : requests) {
+    const auto& got = rig.cache.probe(flow, ttl);
+    const auto& want = serial.cache.probe(flow, ttl);
+    ASSERT_GE(got.attempts, 1) << "flow " << flow;
+    EXPECT_EQ(got.answered, want.answered) << "flow " << flow;
+    EXPECT_EQ(got.responder, want.responder) << "flow " << flow;
+  }
+  EXPECT_EQ(rig.cache.packets(), rig.engine.packets_sent());
+  EXPECT_EQ(rig.cache.packets_accounted(), serial.cache.packets_accounted());
+}
+
 }  // namespace
 }  // namespace mmlpt::core

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "common/error.h"
 
@@ -120,6 +123,67 @@ TEST(StoppingPoints, RejectsBadParameters) {
   EXPECT_THROW((void)StoppingPoints::for_global(0.05, 0), ContractViolation);
   const auto sp = StoppingPoints::from_epsilon(0.05);
   EXPECT_THROW((void)sp.n(0), ContractViolation);
+}
+
+// The n_k recurrence computed from nothing, as one tracer alone would:
+// n_k is the first n >= n_{k-1} (n >= 1 for k = 1) whose miss
+// probability over k + 1 successors is within epsilon.
+std::vector<int> scan_from_scratch(double epsilon, int count) {
+  std::vector<int> out(static_cast<std::size_t>(count) + 1, 0);
+  int n = 1;
+  for (int k = 1; k <= count; ++k) {
+    while (StoppingPoints::miss_probability(n, k + 1) > epsilon) ++n;
+    out[static_cast<std::size_t>(k)] = n;
+  }
+  return out;
+}
+
+TEST(StoppingPoints, InstancesShareOneTableEqualToAScratchScan) {
+  const auto first = StoppingPoints::for_global(0.05, 30);
+  const auto expected = scan_from_scratch(first.epsilon(), 200);
+  for (int k = 1; k <= 200; ++k) {
+    ASSERT_EQ(first.n(k), expected[static_cast<std::size_t>(k)]) << k;
+  }
+  // A second instance reads the table the first one filled.
+  const auto second = StoppingPoints::for_global(0.05, 30);
+  for (int k = 200; k >= 1; --k) {
+    ASSERT_EQ(second.n(k), expected[static_cast<std::size_t>(k)]) << k;
+  }
+}
+
+TEST(StoppingPoints, PinsValuesPastOneHundredTwentyEight) {
+  // The default MDA bound (alpha = 0.05, B = 30), far out.
+  const auto sp = StoppingPoints::for_global(0.05, 30);
+  EXPECT_EQ(sp.n(128), 1444);
+  EXPECT_EQ(sp.n(256), 3058);
+}
+
+TEST(StoppingPoints, ConcurrentFirstCallsOnFreshInstancesAgree) {
+  // An epsilon no other test uses, so all eight threads race to fill an
+  // empty table: some extend it, the rest read what they published.
+  constexpr double kEpsilon = 0.0123;
+  constexpr int kThreads = 8;
+  constexpr int kCount = 64;
+  const auto expected = scan_from_scratch(kEpsilon, kCount);
+  std::vector<std::vector<int>> seen(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const auto sp = StoppingPoints::from_epsilon(kEpsilon);
+      auto& out = seen[static_cast<std::size_t>(t)];
+      out.assign(static_cast<std::size_t>(kCount) + 1, 0);
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      // Half the threads walk up from k = 1, half jump to the far end.
+      for (int i = 1; i <= kCount; ++i) {
+        const int k = t % 2 == 0 ? i : kCount + 1 - i;
+        out[static_cast<std::size_t>(k)] = sp.n(k);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (const auto& out : seen) EXPECT_EQ(out, expected);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // ShutdownSignal: the self-pipe signal seam mmlptd, mmlpt_fleet and
-// mmlpt_survey drain through. The latch is process-global by design, so
-// these tests run in a deliberate order within this binary: the plain
-// first-delivery test latches the state the death test then relies on
-// being escalation-proof (second delivery must _exit(128+sig)).
+// mmlpt_survey drain through. The latch and the pipe are process-global
+// by design, so the death test installs the handlers only inside its
+// forked child: gtest runs *DeathTest suites first, and a pipe created
+// in the parent would be shared with the child, whose SIGINT would leave
+// it readable for the first-delivery test that follows.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -52,12 +53,13 @@ TEST(ShutdownSignal, FirstDeliveryLatchesFiresTokenAndWakesThePipe) {
 }
 
 TEST(ShutdownSignalDeathTest, SecondDeliveryExitsImmediately) {
-  (void)ShutdownSignal::install();
   // Two raises make the test self-contained: the first latches (or is
-  // already latched from the test above), the second must _exit(128+sig)
-  // — an insistent ^C^C always wins over a wedged drain.
+  // already latched, when another test ran first in this process), the
+  // second must _exit(128+sig) — an insistent ^C^C always wins over a
+  // wedged drain.
   EXPECT_EXIT(
       {
+        (void)ShutdownSignal::install();
         (void)std::raise(SIGINT);
         (void)std::raise(SIGINT);
       },

@@ -54,6 +54,22 @@ TEST(Ipv4Header, RejectsNonIpv4) {
   EXPECT_THROW((void)Ipv4Header::parse(r), ParseError);
 }
 
+TEST(Ipv4Header, RejectsEveryTruncatedHeader) {
+  Ipv4Header h;
+  h.src = Ipv4Address(1, 1, 1, 1);
+  h.dst = Ipv4Address(2, 2, 2, 2);
+  const auto bytes = h.serialize({});
+  ASSERT_EQ(bytes.size(), kIpv4HeaderSize);
+  for (std::size_t length = 0; length < kIpv4HeaderSize; ++length) {
+    const std::span<const std::uint8_t> prefix(bytes.data(), length);
+    WireReader r(prefix);
+    EXPECT_THROW((void)Ipv4Header::parse(r), ParseError) << length;
+    WireReader lenient(prefix);
+    EXPECT_THROW((void)Ipv4Header::parse(lenient, false), ParseError)
+        << length;
+  }
+}
+
 TEST(Ipv4Header, ParsesOptionsViaIhl) {
   Ipv4Header h;
   h.src = Ipv4Address(1, 1, 1, 1);

@@ -65,6 +65,63 @@ TEST(WireReader, TruncatedThrows) {
   EXPECT_THROW((void)r.u16(), ParseError);
 }
 
+TEST(WireReader, EveryAccessorThrowsAtEveryTruncationPoint) {
+  // For each accessor and each way of starting it short of its width —
+  // from every offset into a buffer too short to hold it — the read
+  // throws ParseError and moves nothing.
+  const std::vector<std::uint8_t> bytes{1, 2, 3, 4, 5, 6, 7, 8};
+  using Read = void (*)(WireReader&, std::size_t);
+  const struct {
+    const char* name;
+    std::size_t width;
+    Read read;
+  } accessors[] = {
+      {"u8", 1, [](WireReader& r, std::size_t) { (void)r.u8(); }},
+      {"u16", 2, [](WireReader& r, std::size_t) { (void)r.u16(); }},
+      {"u32", 4, [](WireReader& r, std::size_t) { (void)r.u32(); }},
+      {"bytes", 3,
+       [](WireReader& r, std::size_t n) { (void)r.bytes(n); }},
+      {"skip", 3, [](WireReader& r, std::size_t n) { r.skip(n); }},
+  };
+  for (const auto& accessor : accessors) {
+    for (std::size_t size = 0; size <= bytes.size(); ++size) {
+      for (std::size_t start = 0; start <= size; ++start) {
+        WireReader r(std::span<const std::uint8_t>(bytes.data(), size));
+        r.skip(start);
+        if (size - start >= accessor.width) {
+          EXPECT_NO_THROW(accessor.read(r, accessor.width));
+          EXPECT_EQ(r.offset(), start + accessor.width);
+          continue;
+        }
+        EXPECT_THROW(accessor.read(r, accessor.width), ParseError)
+            << accessor.name << " size " << size << " start " << start;
+        EXPECT_EQ(r.offset(), start) << accessor.name;
+      }
+    }
+  }
+}
+
+TEST(WireReader, TruncationMessageNamesTheShortfall) {
+  const std::vector<std::uint8_t> bytes{1, 2, 3};
+  WireReader r(bytes);
+  (void)r.u16();
+  try {
+    (void)r.u32();
+    FAIL() << "u32 past the end must throw";
+  } catch (const ParseError& e) {
+    EXPECT_STREQ(e.what(),
+                 "truncated packet: need 4 bytes at offset 2, have 1");
+  }
+}
+
+TEST(WireReader, HugeCountDoesNotWrapTheBoundsCheck) {
+  const std::vector<std::uint8_t> bytes{1, 2, 3};
+  WireReader r(bytes);
+  r.skip(1);
+  EXPECT_THROW((void)r.bytes(static_cast<std::size_t>(-1)), ParseError);
+  EXPECT_THROW(r.skip(static_cast<std::size_t>(-1)), ParseError);
+}
+
 TEST(WireReader, SkipAndOffset) {
   const std::vector<std::uint8_t> bytes{1, 2, 3, 4, 5};
   WireReader r(bytes);

@@ -77,6 +77,28 @@ TEST(SnapshotCodec, RejectsBadFamilyTag) {
   EXPECT_THROW((void)decode_snapshot(payload), ParseError);
 }
 
+// A block whose payload claims 0xFFFFFFFF records but holds only a few:
+// the decoder must answer ParseError, not try to reserve ~100 GB first
+// (a reserve that large fails with std::bad_alloc or length_error).
+std::string payload_claiming_huge_count(bool hops) {
+  auto payload = encode_snapshot(sample_snapshot());
+  // The hop count is the payload's first u32; the destination count
+  // follows the three 19-byte hop records.
+  const std::size_t at = hops ? 0 : 4 + 3 * 19;
+  for (std::size_t i = 0; i < 4; ++i) payload[at + i] = '\xFF';
+  return payload;
+}
+
+TEST(SnapshotCodec, HugeHopCountThrowsParseError) {
+  EXPECT_THROW((void)decode_snapshot(payload_claiming_huge_count(true)),
+               ParseError);
+}
+
+TEST(SnapshotCodec, HugeDestinationCountThrowsParseError) {
+  EXPECT_THROW((void)decode_snapshot(payload_claiming_huge_count(false)),
+               ParseError);
+}
+
 TEST(TopologyStore, MissingFileLoadsEmpty) {
   TempPath file("store_missing.mtps");
   const auto loaded = TopologyStore::load(file.path);
@@ -160,6 +182,26 @@ TEST(TopologyStore, CorruptBlockStopsAtValidPrefix) {
   const auto loaded = TopologyStore::load(file.path);
   EXPECT_TRUE(loaded.truncated_tail);
   EXPECT_EQ(loaded.blocks, 1u);
+}
+
+TEST(TopologyStore, BlockClaimingHugeHopCountStopsAtValidPrefix) {
+  // The CRC matches, so only the decoder stands between the count and
+  // the allocator.
+  TempPath file("store_huge_count.mtps");
+  TopologyStore::append(file.path, sample_snapshot());
+  const auto payload = payload_claiming_huge_count(true);
+  std::string block;
+  for (const std::uint32_t word :
+       {static_cast<std::uint32_t>(payload.size()), crc32(payload)}) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      block += static_cast<char>((word >> shift) & 0xFF);
+    }
+  }
+  write_file(file.path, read_file(file.path) + block + payload);
+  const auto loaded = TopologyStore::load(file.path);
+  EXPECT_TRUE(loaded.truncated_tail);
+  EXPECT_EQ(loaded.blocks, 1u);
+  EXPECT_EQ(loaded.snapshot.hops, sample_snapshot().hops);
 }
 
 TEST(TopologyStore, HalfWrittenHeaderIsRecoverableGarbage) {
