@@ -19,29 +19,23 @@ Simulator::Simulator(const topo::GroundTruth& truth, SimConfig config,
                      std::uint64_t seed)
     : truth_(&truth), config_(config), rng_(seed), lb_salt_(mix64(seed)) {
   MMLPT_EXPECTS(truth.vertex_router.size() == truth.graph.vertex_count());
-  routers_.reserve(truth.routers.size());
-  limiters_.reserve(truth.routers.size());
-  for (const auto& spec : truth.routers) {
-    routers_.emplace_back(spec, rng_.fork());
-    if (config_.icmp_rate_limit) {
-      limiters_.emplace_back(RateLimiter(*config_.icmp_rate_limit,
-                                         config_.rate_limit_burst));
-    } else {
-      limiters_.emplace_back(std::nullopt);
-    }
-  }
-  const auto& g = truth.graph;
-  for (topo::VertexId v = 0; v < g.vertex_count(); ++v) {
-    const auto addr = g.vertex(v).addr;
-    if (!addr.is_unspecified()) {
-      interfaces_.emplace(addr, std::make_pair(v, truth.vertex_router[v]));
-    }
+  routers_.resize(truth.routers.size());
+  for (auto& slot : routers_) slot.seed = rng_.engine()();
+  if (config_.icmp_rate_limit) {
+    limiters_.assign(truth.routers.size(),
+                     RateLimiter(*config_.icmp_rate_limit,
+                                 config_.rate_limit_burst));
   }
 }
 
 RouterState& Simulator::router_state(std::uint32_t router_index) {
   MMLPT_EXPECTS(router_index < routers_.size());
-  return routers_[router_index];
+  auto& slot = routers_[router_index];
+  if (!slot.state) {
+    slot.state = std::make_unique<RouterState>(truth_->routers[router_index],
+                                               Rng(slot.seed));
+  }
+  return *slot.state;
 }
 
 Nanos Simulator::sample_rtt(std::uint16_t hop) {
@@ -95,7 +89,7 @@ std::optional<SimReply> Simulator::emit(
     ++counters_.dropped_unresponsive;
     return std::nullopt;
   }
-  if (limiters_[router_index] && !limiters_[router_index]->allow(now)) {
+  if (!limiters_.empty() && !limiters_[router_index].allow(now)) {
     ++counters_.dropped_rate_limit;
     return std::nullopt;
   }
@@ -179,12 +173,12 @@ std::optional<SimReply> Simulator::handle_udp(
 
 std::optional<SimReply> Simulator::handle_echo(const net::ParsedProbe& probe,
                                                Nanos now) {
-  const auto it = interfaces_.find(probe.dst());
-  if (it == interfaces_.end()) {
+  const topo::VertexId vertex = truth_->graph.find(probe.dst());
+  if (vertex == topo::kInvalidVertex) {
     ++counters_.dropped_unroutable;
     return std::nullopt;
   }
-  const auto [vertex, router] = it->second;
+  const std::uint32_t router = truth_->vertex_router[vertex];
   const std::uint16_t hop = truth_->graph.vertex(vertex).hop;
   if (probe.family == net::Family::kIpv6) {
     const auto message = net::make_echo_reply_v6(probe.icmp6);

@@ -12,13 +12,19 @@
 // The original Fakeroute hooked a real tool's packets via
 // libnetfilter-queue; here the probing engine hands datagrams over
 // directly, exercising the same craft -> wire -> parse code path.
+//
+// One simulator is built per traced destination, and most traces touch
+// few of the route's routers, so set-up costs only what a trace uses:
+// the constructor keeps one 64-bit seed per router, and a router's
+// RouterState (with its own Rng) is built the first time it answers.
+// Echo targets are looked up in the ground-truth graph's address index.
 #ifndef MMLPT_FAKEROUTE_SIMULATOR_H
 #define MMLPT_FAKEROUTE_SIMULATOR_H
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -100,18 +106,25 @@ class Simulator {
       ReplyKind kind, const net::IcmpMessage* message4,
       const net::Icmpv6Message* message6, Nanos now);
 
+  /// The router's state, built on first use from its seed.
   [[nodiscard]] RouterState& router_state(std::uint32_t router_index);
   [[nodiscard]] Nanos sample_rtt(std::uint16_t hop);
+
+  /// One per router: the seed the constructor drew for it (in router
+  /// order, so each stream equals an eager `rng_.fork()`) and its state
+  /// once built. Null state until the router first answers.
+  struct RouterSlot {
+    std::uint64_t seed = 0;
+    std::unique_ptr<RouterState> state;
+  };
 
   const topo::GroundTruth* truth_;
   SimConfig config_;
   Rng rng_;
   std::uint64_t lb_salt_;
-  std::vector<RouterState> routers_;
-  std::vector<std::optional<RateLimiter>> limiters_;
-  /// interface address -> (vertex, router index)
-  std::unordered_map<net::Ipv4Address, std::pair<topo::VertexId, std::uint32_t>>
-      interfaces_;
+  std::vector<RouterSlot> routers_;
+  /// One per router when SimConfig::icmp_rate_limit is set, else empty.
+  std::vector<RateLimiter> limiters_;
   SimCounters counters_;
 };
 

@@ -1,7 +1,6 @@
 #include "orchestrator/stop_set.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "obs/metrics.h"
 
@@ -21,9 +20,13 @@ core::DestinationRecord merge(const core::DestinationRecord& a,
 }  // namespace
 
 void SharedStopSet::seed(const store::TopologySnapshot& snapshot) {
+  visible_.reserve(visible_.size() + snapshot.hops.size());
   for (const auto& hop : snapshot.hops) {
-    visible_.insert({hop.addr, hop.distance});
+    visible_.emplace_back(hop.addr, hop.distance);
   }
+  std::sort(visible_.begin(), visible_.end());
+  visible_.erase(std::unique(visible_.begin(), visible_.end()),
+                 visible_.end());
   for (const auto& dest : snapshot.destinations) {
     auto [it, inserted] = visible_destinations_.try_emplace(
         dest.addr, dest.record);
@@ -45,16 +48,20 @@ void SharedStopSet::seed(const store::TopologySnapshot& snapshot) {
   }
 }
 
+bool SharedStopSet::visible(const Key& key) const {
+  return std::binary_search(visible_.begin(), visible_.end(), key);
+}
+
 bool SharedStopSet::contains(const net::IpAddress& addr,
                              int distance) const {
-  const bool hit = visible_.count({addr, distance}) != 0;
+  const bool hit = visible({addr, distance});
   if (hit && hits_ != nullptr) hits_->add();
   return hit;
 }
 
 void SharedStopSet::record(const net::IpAddress& addr, int distance) {
   const Key key{addr, distance};
-  if (visible_.count(key) != 0) return;  // already durable
+  if (visible(key)) return;  // already durable
   const MutexLock lock(mutex_);
   // Count only first-time discoveries: bump after the insert says the
   // hop was new, not before (re-recording the same hop is common — every
@@ -101,44 +108,36 @@ store::TopologySnapshot SharedStopSet::delta() const {
   return snapshot;
 }
 
-store::TopologySnapshot SharedStopSet::full_snapshot() const {
-  std::set<Key> hops;
-  std::map<net::IpAddress, core::DestinationRecord> destinations(
-      visible_destinations_.begin(), visible_destinations_.end());
-  {
-    const MutexLock lock(mutex_);
-    hops = pending_;
-    for (const auto& [addr, record] : pending_destinations_) {
-      auto [it, inserted] = destinations.try_emplace(addr, record);
-      if (!inserted) it->second = merge(it->second, record);
-    }
-  }
-  hops.insert(visible_.begin(), visible_.end());
-
-  store::TopologySnapshot snapshot;
-  snapshot.hops.reserve(hops.size());
-  for (const auto& [addr, distance] : hops) {
-    snapshot.hops.push_back({addr, distance});
-  }
-  snapshot.destinations.reserve(destinations.size());
-  for (const auto& [addr, record] : destinations) {
-    snapshot.destinations.push_back({addr, record});
-  }
-  return snapshot;
-}
-
 std::uint64_t SharedStopSet::union_digest() const {
-  const auto snapshot = full_snapshot();
   std::uint64_t digest = 0xCBF29CE484222325ULL;  // FNV-1a offset basis
   const auto mix = [&digest](std::uint8_t byte) {
     digest ^= byte;
     digest *= 0x100000001B3ULL;  // FNV prime
   };
-  for (const auto& hop : snapshot.hops) {
-    mix(hop.addr.family() == net::Family::kIpv6 ? 6 : 4);
-    for (const auto byte : hop.addr.bytes()) mix(byte);
-    mix(static_cast<std::uint8_t>(hop.distance & 0xFF));
-    mix(static_cast<std::uint8_t>((hop.distance >> 8) & 0xFF));
+  const auto fold = [&mix](const Key& key) {
+    const auto& [addr, distance] = key;
+    mix(addr.family() == net::Family::kIpv6 ? 6 : 4);
+    for (const auto byte : addr.bytes()) mix(byte);
+    mix(static_cast<std::uint8_t>(distance & 0xFF));
+    mix(static_cast<std::uint8_t>((distance >> 8) & 0xFF));
+  };
+  // visible_ is frozen, so only pending_ is read under the lock: copy
+  // it, then fold the ordered union of the two sorted, unique sequences
+  // outside it. A key in both (a record() made before seed()) folds once.
+  std::vector<Key> pending;
+  {
+    const MutexLock lock(mutex_);
+    pending.assign(pending_.begin(), pending_.end());
+  }
+  auto v = visible_.begin();
+  auto p = pending.begin();
+  while (v != visible_.end() || p != pending.end()) {
+    if (p == pending.end() || (v != visible_.end() && *v < *p)) {
+      fold(*v++);
+    } else {
+      if (v != visible_.end() && !(*p < *v)) ++v;
+      fold(*p++);
+    }
   }
   return digest;
 }

@@ -4,11 +4,14 @@
 // Determinism contract (frozen visible epoch): queries — contains(),
 // destination(), midpoint_ttl() — only ever see the immutable `visible`
 // set seeded from disk before any worker starts, so they are lock-free
-// and their answers cannot depend on worker interleaving. Discoveries
-// made during the run go to a mutex-guarded `pending` set that no query
-// reads; they become visible to the NEXT run when flush() appends them
-// to the store. This is what makes --jobs N output byte-identical to
-// --jobs 1 given the same cache file.
+// and their answers cannot depend on worker interleaving. The visible
+// hops are one sorted vector, searched by binary search, so the union
+// digest is a linear merge of two sorted sequences with no copy of the
+// visible epoch.
+// Discoveries made during the run go to a mutex-guarded `pending` set
+// that no query reads; they become visible to the NEXT run when flush()
+// appends them to the store. This is what makes --jobs N output
+// byte-identical to --jobs 1 given the same cache file.
 #ifndef MMLPT_ORCHESTRATOR_STOP_SET_H
 #define MMLPT_ORCHESTRATOR_STOP_SET_H
 
@@ -18,8 +21,8 @@
 #include <set>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -56,12 +59,12 @@ class SharedStopSet final : public core::StopSet {
   /// to the store.
   [[nodiscard]] store::TopologySnapshot delta() const;
 
-  /// visible ∪ pending, sorted — what the next run's epoch would be.
-  [[nodiscard]] store::TopologySnapshot full_snapshot() const;
-
-  /// FNV-1a digest over the sorted (interface, distance) union. Two runs
-  /// discovered the same topology iff their digests match, regardless of
-  /// how discovery was split between cache and probing.
+  /// FNV-1a digest over the sorted (interface, distance) union of the
+  /// visible and pending hops. Two runs discovered the same topology iff
+  /// their digests match, regardless of how discovery was split between
+  /// cache and probing. Copies only pending under the mutex, then streams
+  /// a merge of the two sorted sequences outside it: O(visible + pending)
+  /// per call, but a concurrent record() waits O(pending) at most.
   [[nodiscard]] std::uint64_t union_digest() const;
 
   [[nodiscard]] std::size_t visible_hop_count() const {
@@ -75,15 +78,12 @@ class SharedStopSet final : public core::StopSet {
 
  private:
   using Key = std::pair<net::IpAddress, int>;
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const noexcept {
-      return std::hash<net::IpAddress>{}(key.first) ^
-             (static_cast<std::size_t>(key.second) * 0x9E3779B97F4A7C15ULL);
-    }
-  };
 
-  // Frozen after seed(): read without locking.
-  std::unordered_set<Key, KeyHash> visible_;
+  [[nodiscard]] bool visible(const Key& key) const;
+
+  // Frozen after seed(): read without locking. visible_ is sorted and
+  // unique.
+  std::vector<Key> visible_;
   std::unordered_map<net::IpAddress, core::DestinationRecord>
       visible_destinations_;
   int midpoint_ttl_ = 0;

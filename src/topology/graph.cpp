@@ -1,11 +1,13 @@
 #include "topology/graph.h"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 #include <unordered_map>
 
 #include "common/assert.h"
 #include "common/error.h"
+#include "common/rng.h"
 
 namespace mmlpt::topo {
 
@@ -25,10 +27,16 @@ VertexId MultipathGraph::add_vertex(std::uint16_t hop, net::Ipv4Address addr) {
 VertexId MultipathGraph::try_add_vertex(std::uint16_t hop,
                                         net::Ipv4Address addr) {
   MMLPT_EXPECTS(hop < hops_.size());
-  if (!addr.is_unspecified() && find(addr) != kInvalidVertex) {
-    return kInvalidVertex;
-  }
   const auto id = static_cast<VertexId>(vertices_.size());
+  if (!addr.is_unspecified()) {
+    const std::size_t wanted = 2 * (vertices_.size() + 1);
+    if (wanted > index_.size()) {
+      rehash(std::max<std::size_t>(16, std::bit_ceil(wanted)));
+    }
+    const std::size_t slot = slot_of(addr);
+    if (index_[slot] != kInvalidVertex) return kInvalidVertex;
+    index_[slot] = id;
+  }
   vertices_.push_back({addr, hop});
   hops_[hop].push_back(id);
   succ_.emplace_back();
@@ -70,12 +78,30 @@ std::span<const VertexId> MultipathGraph::predecessors(VertexId v) const {
   return pred_[v];
 }
 
-VertexId MultipathGraph::find(net::Ipv4Address addr) const noexcept {
-  if (addr.is_unspecified()) return kInvalidVertex;
-  for (VertexId v = 0; v < vertices_.size(); ++v) {
-    if (vertices_[v].addr == addr) return v;
+std::size_t MultipathGraph::slot_of(
+    const net::IpAddress& addr) const noexcept {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t slot =
+      Rng::split_mix(addr.hi64() ^ Rng::split_mix(addr.lo64())) & mask;
+  while (index_[slot] != kInvalidVertex &&
+         vertices_[index_[slot]].addr != addr) {
+    slot = (slot + 1) & mask;
   }
-  return kInvalidVertex;
+  return slot;
+}
+
+void MultipathGraph::rehash(std::size_t slots) {
+  index_.assign(slots, kInvalidVertex);
+  for (VertexId v = 0; v < vertices_.size(); ++v) {
+    if (!vertices_[v].addr.is_unspecified()) {
+      index_[slot_of(vertices_[v].addr)] = v;
+    }
+  }
+}
+
+VertexId MultipathGraph::find(net::Ipv4Address addr) const noexcept {
+  if (addr.is_unspecified() || index_.empty()) return kInvalidVertex;
+  return index_[slot_of(addr)];
 }
 
 VertexId MultipathGraph::find_at(std::uint16_t hop,

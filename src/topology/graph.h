@@ -35,7 +35,7 @@ class MultipathGraph {
   /// within the graph except for the unspecified (star) address.
   VertexId add_vertex(std::uint16_t hop, net::Ipv4Address addr);
   /// add_vertex() that returns kInvalidVertex instead of throwing when
-  /// `addr` is already in the graph (the same single address scan).
+  /// `addr` is already in the graph (one address-index lookup).
   VertexId try_add_vertex(std::uint16_t hop, net::Ipv4Address addr);
 
   /// Add an edge from `from` (hop i) to `to` (hop i+1). Duplicate edges are
@@ -62,7 +62,7 @@ class MultipathGraph {
   }
 
   /// Find a vertex by address; kInvalidVertex if absent. Stars cannot be
-  /// looked up by address.
+  /// looked up by address. O(1): a lookup in the address index.
   [[nodiscard]] VertexId find(net::Ipv4Address addr) const noexcept;
   /// Find a vertex by address at one hop.
   [[nodiscard]] VertexId find_at(std::uint16_t hop,
@@ -94,6 +94,17 @@ class MultipathGraph {
   std::vector<std::vector<VertexId>> succ_;
   std::vector<std::vector<VertexId>> pred_;
   std::size_t edge_count_ = 0;
+  /// Address index: open addressing with linear probing over vertex ids
+  /// (kInvalidVertex = empty slot). Its size is zero or a power of two
+  /// at least twice vertex_count(); stars are never indexed. Flat rather
+  /// than node-based, so indexing adds one allocation per graph, not one
+  /// per vertex.
+  std::vector<VertexId> index_;
+
+  /// Slot holding `addr`, or the empty slot where it would go.
+  [[nodiscard]] std::size_t slot_of(const net::IpAddress& addr) const noexcept;
+  /// Rebuild index_ at `slots` (a power of two) from vertices_.
+  void rehash(std::size_t slots);
 };
 
 /// True if the two graphs contain the same set of addresses per hop and the

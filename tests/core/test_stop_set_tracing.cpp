@@ -55,7 +55,7 @@ ColdRun cold_run(const topo::GroundTruth& truth, Algorithm algorithm,
   config.consult_stop_set = false;
   ColdRun cold;
   cold.result = run_trace(truth, algorithm, config, {}, seed);
-  cold.snapshot = set.full_snapshot();
+  cold.snapshot = set.delta();  // unseeded: the union is the delta
   cold.digest = set.union_digest();
   return cold;
 }

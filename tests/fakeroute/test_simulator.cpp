@@ -89,25 +89,111 @@ TEST(Simulator, QuotedProbeComesBack) {
 }
 
 TEST(Simulator, EchoProbeAnswered) {
-  const auto truth = diamond_truth();
-  Simulator sim(truth, {}, 1);
-  const auto target = topo::reference_addr(1, 1, 0);
-  const auto probe = net::build_echo_probe(net::Ipv4Address(192, 168, 0, 1),
-                                           target, 9, 1);
-  const auto reply = sim.handle(probe, 1'000'000'000);
-  ASSERT_TRUE(reply.has_value());
-  const auto parsed = net::parse_reply(reply->datagram);
-  EXPECT_TRUE(parsed.is_echo_reply());
-  EXPECT_EQ(parsed.responder(), target);
+  // Every interface answers, in either family, at the hop of the vertex
+  // that owns the address: the reply TTL is the initial echo TTL minus
+  // that hop, and the jitter-free RTT follows it too.
+  SimConfig config;
+  config.jitter_ms = 0.0;
+  for (const auto& graph :
+       {topo::simplest_diamond(), topo::fig1_meshed(),
+        topo::map_to_ipv6(topo::fig1_meshed())}) {
+    const auto truth = core::plain_ground_truth(graph);
+    const bool v6 = truth.destination.family() == net::Family::kIpv6;
+    Simulator sim(truth, config, 1);
+    const auto src = v6 ? net::IpAddress::v6(0x20010db8'00000000ULL, 1)
+                        : net::IpAddress(192, 168, 0, 1);
+    for (topo::VertexId v = 0; v < truth.graph.vertex_count(); ++v) {
+      const auto& vertex = truth.graph.vertex(v);
+      if (vertex.addr.is_unspecified()) continue;
+      const auto reply = sim.handle(
+          net::build_echo_probe(src, vertex.addr, 9, 1), 1'000'000'000);
+      ASSERT_TRUE(reply) << vertex.addr.to_string();
+      const auto parsed = net::parse_reply(reply->datagram);
+      EXPECT_TRUE(parsed.is_echo_reply());
+      EXPECT_EQ(parsed.responder(), vertex.addr);
+      const int ttl = v6 ? parsed.outer6.hop_limit : parsed.outer.ttl;
+      EXPECT_EQ(ttl, truth.router_of(v).fingerprint.initial_ttl_echo -
+                         vertex.hop)
+          << vertex.addr.to_string();
+      const auto rtt_ms =
+          config.base_rtt_ms +
+          config.per_hop_rtt_ms * static_cast<double>(vertex.hop);
+      EXPECT_EQ(reply->rtt, static_cast<Nanos>(rtt_ms * 1e6));
+    }
+  }
 }
 
 TEST(Simulator, EchoToUnknownAddressUnanswered) {
   const auto truth = diamond_truth();
   Simulator sim(truth, {}, 1);
-  const auto probe = net::build_echo_probe(net::Ipv4Address(192, 168, 0, 1),
-                                           net::Ipv4Address(9, 9, 9, 9), 9, 1);
-  EXPECT_FALSE(sim.handle(probe, 1'000'000'000).has_value());
-  EXPECT_EQ(sim.counters().dropped_unroutable, 1u);
+  const net::IpAddress src(192, 168, 0, 1);
+  // An address the route lacks, a star's (unspecified) address, and a
+  // route interface's bytes in the other family: none is an interface.
+  const auto in_route = topo::reference_addr(1, 1, 0);
+  const std::vector<std::pair<net::IpAddress, net::IpAddress>> targets = {
+      {src, net::IpAddress(9, 9, 9, 9)},
+      {src, net::IpAddress()},
+      {net::IpAddress::v6(0x20010db8'00000000ULL, 1),
+       net::IpAddress::v6(0, in_route.value())},
+  };
+  std::uint64_t expected = 0;
+  for (const auto& [from, to] : targets) {
+    EXPECT_FALSE(
+        sim.handle(net::build_echo_probe(from, to, 9, 1), 1'000'000'000))
+        << to.to_string();
+    EXPECT_EQ(sim.counters().dropped_unroutable, ++expected);
+  }
+  EXPECT_EQ(sim.counters().replies_out, 0u);
+}
+
+TEST(Simulator, RouterIpIdStreamsDoNotDependOnFirstProbeOrder) {
+  // Router state is built when a router first answers; each router's
+  // stream must still be the one an eager fork in router order gives,
+  // whichever router answers first.
+  auto truth = diamond_truth();
+  truth.routers[1].ip_id_policy = topo::IpIdPolicy::kRandom;
+  const auto a = topo::reference_addr(1, 1, 0);
+  const auto b = topo::reference_addr(1, 1, 1);
+  const net::IpAddress src(192, 168, 0, 1);
+  constexpr int kReplies = 4;
+  const auto ids = [&](Simulator& sim, const net::IpAddress& target) {
+    std::vector<std::uint16_t> out;
+    for (int i = 0; i < kReplies; ++i) {
+      const auto reply = sim.handle(
+          net::build_echo_probe(src, target, 9, static_cast<std::uint16_t>(i)),
+          static_cast<Nanos>(i + 1) * 1'000'000'000);
+      EXPECT_TRUE(reply);
+      if (!reply) return out;
+      out.push_back(net::parse_reply(reply->datagram).outer.identification);
+    }
+    return out;
+  };
+  Simulator a_first(truth, {}, 11);
+  const auto a1 = ids(a_first, a);
+  const auto b1 = ids(a_first, b);
+  Simulator b_first(truth, {}, 11);
+  const auto b2 = ids(b_first, b);
+  const auto a2 = ids(b_first, a);
+  EXPECT_EQ(a1, a2);
+  EXPECT_EQ(b1, b2);
+
+  // The eager construction: one fork per router, in router order.
+  Rng parent(11);
+  std::vector<Rng> forks;
+  for (std::size_t r = 0; r < truth.routers.size(); ++r) {
+    forks.push_back(parent.fork());
+  }
+  for (const auto& [target, seen] : {std::pair{a, a1}, std::pair{b, b1}}) {
+    const auto router = truth.vertex_router[truth.graph.find(target)];
+    RouterState eager(truth.routers[router], forks[router]);
+    for (int i = 0; i < kReplies; ++i) {
+      EXPECT_EQ(seen[static_cast<std::size_t>(i)],
+                eager.next_ip_id(target,
+                                 static_cast<Nanos>(i + 1) * 1'000'000'000,
+                                 0, ReplyKind::kEcho))
+          << target.to_string() << " reply " << i;
+    }
+  }
 }
 
 TEST(Simulator, UnresponsiveRouterDropsIndirect) {

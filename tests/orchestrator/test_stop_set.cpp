@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -150,6 +151,159 @@ TEST(SharedStopSet, UnionDigestIsOrderAndSplitInvariant) {
   different.record(kA, 2);  // same address, different distance
   different.record(kB, 2);
   EXPECT_NE(from_disk.union_digest(), different.union_digest());
+}
+
+using Key = std::pair<net::IpAddress, int>;
+
+/// The digest's definition: an FNV-1a fold over the ordered union of
+/// (interface, distance) keys — family byte, 16 address bytes, distance
+/// low byte then high byte.
+std::uint64_t reference_digest(const std::set<Key>& keys) {
+  std::uint64_t digest = 0xCBF29CE484222325ULL;
+  const auto mix = [&digest](std::uint8_t byte) {
+    digest ^= byte;
+    digest *= 0x100000001B3ULL;
+  };
+  for (const auto& [addr, distance] : keys) {
+    mix(addr.is_v6() ? 6 : 4);
+    for (const auto byte : addr.bytes()) mix(byte);
+    mix(static_cast<std::uint8_t>(distance & 0xFF));
+    mix(static_cast<std::uint8_t>((distance >> 8) & 0xFF));
+  }
+  return digest;
+}
+
+store::TopologySnapshot hops_snapshot(const std::vector<Key>& keys) {
+  store::TopologySnapshot snapshot;
+  for (const auto& [addr, distance] : keys) {
+    snapshot.hops.push_back({addr, distance});
+  }
+  return snapshot;
+}
+
+const net::IpAddress kV6A = net::IpAddress::v6(0x20010db8'00000000ULL, 1);
+const net::IpAddress kV6B = net::IpAddress::v6(0x20010db8'00000000ULL, 2);
+
+TEST(SharedStopSet, UnionDigestOfSeedWithDuplicateHops) {
+  // A store replays every run's block, so one hop can arrive many times,
+  // out of order.
+  const std::vector<Key> seeded = {{kB, 2}, {kA, 1}, {kB, 2}, {kA, 1},
+                                   {kDest, 9}, {kA, 1}};
+  SharedStopSet set;
+  set.seed(hops_snapshot(seeded));
+  EXPECT_EQ(set.visible_hop_count(), 3u);
+  EXPECT_TRUE(set.contains(kA, 1));
+  EXPECT_TRUE(set.contains(kB, 2));
+  EXPECT_TRUE(set.contains(kDest, 9));
+  EXPECT_EQ(set.union_digest(),
+            reference_digest({seeded.begin(), seeded.end()}));
+}
+
+TEST(SharedStopSet, UnionDigestOverMixedFamilies) {
+  const std::vector<Key> seeded = {{kV6B, 4}, {kA, 1}, {kV6A, 3}};
+  const std::vector<Key> recorded = {{kB, 2}, {kV6A, 2}};
+  SharedStopSet set;
+  set.seed(hops_snapshot(seeded));
+  for (const auto& [addr, distance] : recorded) set.record(addr, distance);
+  std::set<Key> all(seeded.begin(), seeded.end());
+  all.insert(recorded.begin(), recorded.end());
+  EXPECT_EQ(set.union_digest(), reference_digest(all));
+  EXPECT_TRUE(set.contains(kV6A, 3));
+  EXPECT_FALSE(set.contains(kV6A, 2));  // pending
+  // A v4 address and a v6 address with the same leading bytes differ.
+  EXPECT_FALSE(set.contains(net::IpAddress::v6(kA.bytes()), 1));
+}
+
+TEST(SharedStopSet, UnionDigestKeepsOneAddressAtTwoDistances) {
+  SharedStopSet set;
+  set.seed(hops_snapshot({{kA, 5}, {kA, 3}}));
+  set.record(kA, 4);
+  set.record(kA, 300);  // exercises the distance's high byte
+  EXPECT_EQ(set.visible_hop_count(), 2u);
+  EXPECT_EQ(set.pending_hop_count(), 2u);
+  EXPECT_EQ(set.union_digest(),
+            reference_digest({{kA, 3}, {kA, 4}, {kA, 5}, {kA, 300}}));
+}
+
+TEST(SharedStopSet, UnionDigestMergesInterleavedPendingKeys) {
+  std::vector<Key> seeded;
+  std::vector<Key> recorded;
+  for (int i = 0; i < 64; ++i) {
+    const net::IpAddress addr(10, 4, static_cast<std::uint8_t>(i / 8),
+                              static_cast<std::uint8_t>(i));
+    const net::IpAddress addr6 = net::IpAddress::v6(0x20010db8'00000000ULL,
+                                                    static_cast<unsigned>(i));
+    // Deal the keys to both sides so their sorted orders interleave.
+    auto& side = (i % 6 < 3) == (i % 2 == 0) ? seeded : recorded;
+    side.push_back({addr, i % 7 + 1});
+    side.push_back({addr6, i % 5 + 1});
+  }
+  SharedStopSet set;
+  set.seed(hops_snapshot(seeded));
+  for (const auto& [addr, distance] : recorded) set.record(addr, distance);
+  ASSERT_FALSE(seeded.empty());
+  ASSERT_FALSE(recorded.empty());
+  std::set<Key> all(seeded.begin(), seeded.end());
+  all.insert(recorded.begin(), recorded.end());
+  EXPECT_EQ(set.union_digest(), reference_digest(all));
+}
+
+TEST(SharedStopSet, UnionDigestIgnoresRecordOfAVisibleKey) {
+  SharedStopSet set;
+  set.seed(hops_snapshot({{kA, 1}, {kB, 2}}));
+  const auto before = set.union_digest();
+  set.record(kA, 1);
+  set.record(kB, 2);
+  EXPECT_EQ(set.pending_hop_count(), 0u);
+  EXPECT_EQ(set.union_digest(), before);
+  EXPECT_EQ(before, reference_digest({{kA, 1}, {kB, 2}}));
+
+  // A key recorded before the epoch was seeded sits in both sequences;
+  // the union still folds it once.
+  SharedStopSet early;
+  early.record(kA, 1);
+  early.seed(hops_snapshot({{kA, 1}, {kB, 2}}));
+  EXPECT_EQ(early.union_digest(), before);
+}
+
+TEST(SharedStopSet, DigestWhileRecordingIsRaceFree) {
+  SharedStopSet set;
+  std::vector<Key> seeded;
+  for (int i = 0; i < 32; ++i) {
+    seeded.push_back(
+        {net::IpAddress(10, 5, 0, static_cast<std::uint8_t>(i)), i + 1});
+  }
+  set.seed(hops_snapshot(seeded));
+  constexpr int kRecorders = 4;
+  constexpr int kRecords = 200;
+  const auto key_of = [](int t, int i) {
+    return Key{net::IpAddress(10, 6, static_cast<std::uint8_t>(t),
+                              static_cast<std::uint8_t>(i)),
+               i % 30 + 1};
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kRecorders; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kRecords; ++i) {
+        const auto [addr, distance] = key_of(t, i);
+        set.record(addr, distance);
+        set.record(seeded[static_cast<std::size_t>(i % 32)].first,
+                   seeded[static_cast<std::size_t>(i % 32)].second);
+      }
+    });
+  }
+  std::vector<std::uint64_t> digests;
+  threads.emplace_back([&] {
+    for (int i = 0; i < 200; ++i) digests.push_back(set.union_digest());
+  });
+  for (auto& thread : threads) thread.join();
+
+  std::set<Key> all(seeded.begin(), seeded.end());
+  for (int t = 0; t < kRecorders; ++t) {
+    for (int i = 0; i < kRecords; ++i) all.insert(key_of(t, i));
+  }
+  EXPECT_EQ(set.union_digest(), reference_digest(all));
+  EXPECT_EQ(digests.size(), 200u);
 }
 
 TEST(SharedStopSet, ConcurrentRecordsAllLand) {

@@ -8,8 +8,12 @@
 #     (cold packets / warm packets >= 1.2) — Doubletree's probe saving;
 #   * both runs discover the same topology (equal union digests), so the
 #     saving is not bought with missed hops;
+#   * the cold digest equals kColdDigest, the value this fixed command
+#     has always printed, so a change to the digest's definition (or to
+#     what the cold run discovers) cannot pass unnoticed;
 #   * the summaries say "transport":"sim": the fleet probes Fakeroute.
 file(REMOVE "${CACHE_FILE}")
+set(kColdDigest "cbd8d820aae4aefa")
 
 # Runs the fleet over the shared-prefix world with the extra flags in
 # ARGN and sets <out_var> to its JSON summary line.
@@ -63,4 +67,8 @@ endif()
 if(NOT cold_digest STREQUAL warm_digest)
   message(FATAL_ERROR "warm run discovered a different topology: union "
     "digest ${warm_digest}, cold ${cold_digest}")
+endif()
+if(NOT cold_digest STREQUAL kColdDigest)
+  message(FATAL_ERROR "cold run's union digest ${cold_digest} differs from "
+    "the recorded ${kColdDigest} for this fixed command")
 endif()
