@@ -169,8 +169,7 @@ bool MdaTracer::discover_successors(FlowCache& cache,
 std::optional<FlowId> MdaTracer::next_flow_through(
     FlowCache& cache, DiscoveryRecorder& recorder, int ttl,
     net::Ipv4Address vertex) {
-  for (int attempt = 0; attempt < config_.node_control_attempt_cap;
-       ++attempt) {
+  for (int attempt = 0; attempt < kNodeControlAttemptCap; ++attempt) {
     const FlowId f = cache.fresh_flow();
     const auto& r = cache.probe(f, ttl);
     ++node_control_probes_;

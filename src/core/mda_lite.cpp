@@ -251,10 +251,10 @@ std::vector<FlowId> MdaLiteTracer::gather_flows_through(
   int attempts = 0;
   std::vector<FlowCache::ProbeRequest> requests;
   while (static_cast<int>(known.size()) < needed &&
-         attempts < config_.node_control_attempt_cap) {
+         attempts < kNodeControlAttemptCap) {
     const auto committed = static_cast<std::size_t>(
         std::min(needed - static_cast<int>(known.size()),
-                 config_.node_control_attempt_cap - attempts));
+                 kNodeControlAttemptCap - attempts));
     const auto size = std::min(committed, window_size());
     requests.clear();
     for (std::size_t i = 0; i < size; ++i) {

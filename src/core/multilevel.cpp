@@ -86,7 +86,7 @@ MultilevelResult MultilevelTracer::run() {
   for (int round = 1; result.alias_supported && round <= config_.rounds;
        ++round) {
     for (const auto& [hop, addrs] : candidates_by_hop) {
-      if (round == 1 && config_.direct_fingerprint_round1) {
+      if (round == 1) {
         probe::for_each_window<net::Ipv4Address>(
             addrs, window, [&](std::span<const net::Ipv4Address> sweep) {
               const auto echoes = engine_->ping_batch(sweep);
@@ -106,7 +106,7 @@ MultilevelResult MultilevelTracer::run() {
         if (!flow) continue;  // never reached by a recorded flow
         pass_requests.push_back({*flow, static_cast<std::uint8_t>(hop)});
       }
-      for (int pass = 0; pass < config_.mbt_samples_per_round; ++pass) {
+      for (int pass = 0; pass < kMbtSamplesPerRound; ++pass) {
         probe::for_each_window<probe::ProbeEngine::ProbeRequest>(
             pass_requests, window,
             [&](std::span<const probe::ProbeEngine::ProbeRequest> sweep) {

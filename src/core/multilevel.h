@@ -17,11 +17,12 @@
 
 namespace mmlpt::core {
 
+/// Indirect (MBT) probes per address in every alias round.
+inline constexpr int kMbtSamplesPerRound = 30;
+
 struct MultilevelConfig {
   TraceConfig trace;
   int rounds = 10;
-  int mbt_samples_per_round = 30;
-  bool direct_fingerprint_round1 = true;
   alias::AliasResolver::Config resolver;
 };
 

@@ -92,6 +92,9 @@ struct TraceResult {
   std::uint64_t probes_saved_by_stop_set = 0;
 };
 
+/// Cap on fresh flows generated while hunting flows through one vertex.
+inline constexpr int kNodeControlAttemptCap = 20000;
+
 /// Shared tracer tuning knobs.
 struct TraceConfig {
   /// Global failure bound 0.05 across at most 30 branching vertices —
@@ -101,8 +104,6 @@ struct TraceConfig {
   int max_ttl = 64;
   /// MDA-Lite meshing-test effort (phi >= 2, Sec. 2.3.2).
   int phi = 2;
-  /// Cap on fresh flows generated while hunting flows through one vertex.
-  int node_control_attempt_cap = 20000;
   /// Probe window: how many in-flight probes a tracer may assemble into
   /// one batched round trip (a TransportQueue submission). Every algorithm
   /// only windows probes its stopping rule has already committed to, so

@@ -29,7 +29,11 @@ TraceResult run_trace_with_network(probe::TransportQueue& network,
   engine_config.source = source;
   engine_config.destination = destination;
   probe::ProbeEngine engine(network, engine_config);
+  return run_tracer(engine, algorithm, config, observer);
+}
 
+TraceResult run_tracer(probe::ProbeEngine& engine, Algorithm algorithm,
+                       TraceConfig config, ReplyObserver* observer) {
   switch (algorithm) {
     case Algorithm::kMda:
       return MdaTracer(engine, config, observer).run();

@@ -43,6 +43,12 @@ enum class Algorithm : std::uint8_t { kMda, kMdaLite, kSingleFlow };
     net::Ipv4Address destination, Algorithm algorithm, TraceConfig config,
     ReplyObserver* observer = nullptr);
 
+/// Trace with the chosen algorithm over a ready engine: the step
+/// run_trace_with_network and the fleet's route tasks share.
+[[nodiscard]] TraceResult run_tracer(probe::ProbeEngine& engine,
+                                     Algorithm algorithm, TraceConfig config,
+                                     ReplyObserver* observer = nullptr);
+
 /// Wrap a bare multipath graph (no router data) as a ground truth whose
 /// routers are all independent, well-behaved responders — the Fakeroute
 /// validation setting where only the discovery algorithm is under test.

@@ -1,10 +1,12 @@
 // One fleet trace job, runnable against a LONG-LIVED FleetScheduler: the
-// shared core of the mmlpt_fleet CLI and the mmlptd daemon. Both feed a
+// job both the mmlpt_fleet CLI and the mmlptd daemon run. Both feed a
 // FleetJobSpec through run_fleet_job(), so a job served over the daemon
 // socket produces byte-identical JSONL to a standalone `mmlpt_fleet
-// --jobs 1` run with the same spec — the per-destination lines are built
-// here, once, and only the delivery differs (ResultSink vs ResultLine
-// frames).
+// --jobs 1` run with the same spec; only the delivery differs
+// (ResultSink vs ResultLine frames). The run itself is
+// survey::run_route_fleet (survey/route_fleet.h), which the surveys use
+// too; this file adds the spec, the stop-set configuration and the job's
+// counters.
 //
 // The scheduler is a parameter, not a local: the daemon constructs ONE
 // FleetScheduler (owning the fleet-wide RateLimiter) and runs every
@@ -91,15 +93,6 @@ struct FleetJobHooks {
     orchestrator::FleetScheduler& fleet,
     orchestrator::StopSetSession* stop_set, const FleetJobSpec& spec,
     const fakeroute::SimConfig& sim, const FleetJobHooks& hooks);
-
-/// The machine-parsable stop-set summary text ("stop-set
-/// visible_hops=... pending_hops=... probes_saved=... stopped=...
-/// union_digest=%016llx") shared by the mmlpt_fleet stderr line and the
-/// daemon's StopSetSummary frame — the CI warm-cache gate greps these
-/// key=value pairs, so there is exactly one formatter.
-[[nodiscard]] std::string stop_set_summary_text(
-    const orchestrator::SharedStopSet& stop_set, std::uint64_t probes_saved,
-    std::uint64_t traces_stopped);
 
 }  // namespace mmlpt::daemon
 

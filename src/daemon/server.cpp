@@ -1,6 +1,7 @@
 #include "daemon/server.h"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <string_view>
@@ -33,6 +34,24 @@ constexpr std::size_t kOutboxCap = 256u << 10;
 /// How long a listener paused by a failed accept() (EMFILE, ENFILE) waits
 /// for a connection to close before accept() is tried again anyway.
 constexpr int kAcceptRetryMs = 100;
+
+/// The StopSetSummary frame's machine-parsable text ("stop-set
+/// visible_hops=... pending_hops=... probes_saved=... stopped=...
+/// union_digest=%016llx"); clients and scripts grep these key=value
+/// pairs.
+std::string stop_set_summary_text(const orchestrator::SharedStopSet& stop_set,
+                                  std::uint64_t probes_saved,
+                                  std::uint64_t traces_stopped) {
+  char buffer[192];
+  std::snprintf(buffer, sizeof buffer,
+                "stop-set visible_hops=%zu pending_hops=%zu "
+                "probes_saved=%llu stopped=%llu union_digest=%016llx",
+                stop_set.visible_hop_count(), stop_set.pending_hop_count(),
+                static_cast<unsigned long long>(probes_saved),
+                static_cast<unsigned long long>(traces_stopped),
+                static_cast<unsigned long long>(stop_set.union_digest()));
+  return buffer;
+}
 
 }  // namespace
 

@@ -16,8 +16,8 @@
 //
 // The shared RateLimiter (config.pps > 0) bounds the SUM of all workers'
 // probe traffic; each task wraps its trace's transport in a
-// ThrottledNetwork charging WorkerContext::limiter
-// (survey::TraceTransport).
+// ThrottledNetwork charging WorkerContext::limiter (see
+// survey::run_route_fleet, survey/route_fleet.cpp).
 //
 // Lifetime / re-entrancy: a FleetScheduler is NOT tied to a single run.
 // run_streaming() keeps every piece of mutable state local to the call

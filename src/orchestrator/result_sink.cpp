@@ -53,13 +53,6 @@ std::size_t ResultSink::lines_written() const {
 }
 
 std::string destination_line(std::size_t index, const std::string& label,
-                             const std::string& payload_key,
-                             const std::string& payload_json) {
-  return destination_line(index, label, std::string(), payload_key,
-                          payload_json);
-}
-
-std::string destination_line(std::size_t index, const std::string& label,
                              const std::string& extra_fields,
                              const std::string& payload_key,
                              const std::string& payload_json) {

@@ -106,22 +106,13 @@ class FdJsonlFile {
 };
 
 /// Build the standard per-destination JSONL line:
-///   {"index":N,"destination":"<label>","<payload_key>":<payload_json>}
+///   {"index":N,"destination":"<label>",<extra_fields>,"<key>":<payload>}
 /// The label is JSON-escaped (it may be an arbitrary user-supplied
 /// string); `payload_json` is spliced verbatim and must already be valid
-/// JSON. Every fleet JSONL producer goes through here so the wire format
-/// and its escaping live in one place.
-[[nodiscard]] std::string destination_line(std::size_t index,
-                                           const std::string& label,
-                                           const std::string& payload_key,
-                                           const std::string& payload_json);
-
-/// Same, with extra envelope fields spliced between "destination" and the
-/// payload key:
-///   {"index":N,"destination":"<label>",<extra_fields>,"<key>":<payload>}
-/// `extra_fields` must be valid `"key":value` JSON member text without
-/// surrounding braces; empty means no extra members (identical bytes to
-/// the base overload, so disabled features cost nothing).
+/// JSON. `extra_fields` must be valid `"key":value` JSON member text
+/// without surrounding braces; empty means no extra members, so disabled
+/// features cost nothing. Every fleet JSONL producer goes through here so
+/// the wire format and its escaping live in one place.
 [[nodiscard]] std::string destination_line(std::size_t index,
                                            const std::string& label,
                                            const std::string& extra_fields,

@@ -109,7 +109,7 @@ std::vector<TraceProbeResult> ProbeEngine::probe_batch(
             static_cast<std::uint16_t>(12 + requests[i].ttl);
       }
 
-      now_ += config_.send_interval;
+      now_ += kSendInterval;
       ++packets_sent_;
       ++trace_probes_sent_;
       results[i].probe_ip_id = spec.ip_id;
@@ -170,7 +170,7 @@ std::vector<EchoProbeResult> ProbeEngine::ping_batch(
       auto datagram = net::build_echo_probe(
           config_.source, targets[i], /*identifier=*/0x4D4C /* "ML" */,
           next_echo_sequence_++, /*ttl=*/64, ip_id);
-      now_ += config_.send_interval;
+      now_ += kSendInterval;
       ++packets_sent_;
       ++echo_probes_sent_;
       results[i].probe_ip_id = ip_id;

@@ -70,12 +70,14 @@ void for_each_window(std::span<const T> items, std::size_t window, Fn&& fn) {
 
 class ProbeEngine {
  public:
+  /// Virtual time the clock advances per datagram sent: 2 ms.
+  static constexpr Nanos kSendInterval = 2'000'000;
+
   struct Config {
     net::IpAddress source;
     net::IpAddress destination;
     std::uint16_t base_src_port = 33434;  ///< start of the source-port cycle
     std::uint16_t base_dst_port = 33434;  ///< classic traceroute port
-    Nanos send_interval = 2'000'000;  ///< 2 ms of virtual time per probe
     int max_retries = 2;              ///< retransmissions when unanswered
     /// Optional registry for retry counts and the RTT histogram; null =
     /// uninstrumented (the engine's own packet accounting is unaffected).
@@ -115,7 +117,7 @@ class ProbeEngine {
   /// drain its completions; slot i of the result answers requests[i].
   /// Retries run in rounds: after the first window, every unanswered
   /// probe is resent as a (smaller) window, up to max_retries times. The
-  /// virtual clock advances send_interval per datagram while the window
+  /// virtual clock advances kSendInterval per datagram while the window
   /// goes out, then jumps to the latest reply — the windowed counterpart
   /// of probe()'s send-then-wait accounting.
   [[nodiscard]] std::vector<TraceProbeResult> probe_batch(

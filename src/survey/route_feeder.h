@@ -4,8 +4,9 @@
 // soon as the ordered merge is done with them — live routes track the
 // in-flight window, not the survey size, while the route SEQUENCE stays
 // identical to a serial generate-then-trace loop (the world's RNG never
-// depends on trace results). Shared by both surveys and the mmlpt_fleet
-// CLI so the window discipline lives in one place.
+// depends on trace results). survey::run_route_fleet
+// (survey/route_fleet.h) is its one user, so the window discipline lives
+// in one place.
 #ifndef MMLPT_SURVEY_ROUTE_FEEDER_H
 #define MMLPT_SURVEY_ROUTE_FEEDER_H
 

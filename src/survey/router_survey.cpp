@@ -5,12 +5,7 @@
 #include <vector>
 
 #include "common/assert.h"
-#include "core/trace_json.h"
-#include "obs/metrics.h"
-#include "orchestrator/fleet.h"
-#include "probe/simulated_network.h"
-#include "survey/ip_survey.h"
-#include "survey/route_feeder.h"
+#include "survey/route_fleet.h"
 
 namespace mmlpt::survey {
 
@@ -68,7 +63,6 @@ void merge_route(const core::MultilevelResult& ml, RouterSurveyResult& result,
                  std::set<topo::DiamondKey>& seen_diamonds,
                  AddressUnionFind& aggregated) {
   ++result.routes_traced;
-  result.total_packets += ml.total_packets;
 
   // Router sizes from the final round's accepted sets.
   for (const auto& [hop, sets] : ml.final_round().sets_by_hop) {
@@ -149,70 +143,31 @@ double RouterSurveyResult::resolution_fraction(
 
 RouterSurveyResult run_router_survey(const RouterSurveyConfig& config,
                                      orchestrator::ResultSink* sink) {
-  topo::SurveyWorld world(config.generator, config.distinct_diamonds,
-                          config.seed);
+  RouteFleetConfig run;
+  run.generator = config.generator;
+  run.distinct_diamonds = config.distinct_diamonds;
+  run.world_seed = config.seed;
+  run.routes = config.routes;
+  run.sim = config.sim;
+  run.sim_seed_base = config.seed * 0x2545F491ULL + 99;
+  run.on_line = sink_lines(sink);
+  run.cancel = config.cancel;
 
-  // Lazy in-order generation + per-merge release: live routes track the
-  // in-flight window, not the survey size.
-  RouteFeeder feeder(world, config.routes);
-
-  // Trace + multilevel alias resolution per destination. Seeding keeps
-  // the pre-fleet serial formula (base + route index): jobs=1 is
-  // bit-identical to the historical loop.
-  //
-  // The merge rides the scheduler's on_result hook: the distinct-set
-  // dedup, the diamond dedup and the union-find are all first-encounter
-  // sensitive, and on_result fires serialized in strict route order —
-  // exactly the historical serial merge.
+  // The distinct-set dedup, the diamond dedup and the union-find are all
+  // first-encounter sensitive; run_route_fleet's merge fires in strict
+  // route order, exactly like the historical serial loop.
   RouterSurveyResult result;
   std::set<std::vector<net::IpAddress>> distinct_sets;
   std::set<topo::DiamondKey> seen_diamonds;
   AddressUnionFind aggregated;
-
-  obs::Counter* sim_probes =
-      config.metrics != nullptr
-          ? config.metrics->counter("mmlpt_transport_probes_sent_total",
-                                    "Probe packets handed to the transport",
-                                    {{"transport", "sim"}})
-          : nullptr;
-  orchestrator::FleetScheduler fleet({.jobs = config.jobs,
-                                      .pps = config.pps,
-                                      .burst = config.burst,
-                                      .metrics = config.metrics});
-  const std::uint64_t base_seed = config.seed * 0x2545F491ULL + 99;
-  fleet.run_streaming(
-      config.routes,
-      [&](orchestrator::WorkerContext& context) {
-        const auto& route = feeder.route(context.task_index);
-        fakeroute::Simulator simulator(route, config.sim,
-                                       base_seed + context.task_index);
-        probe::SimulatedNetwork network(simulator);
-        TraceTransport transport(network, context.limiter,
-                                 /*tenant_limiter=*/nullptr, config.cancel);
-        probe::ProbeEngine::Config engine_config;
-        engine_config.source = route.source;
-        engine_config.destination = route.destination;
-        probe::ProbeEngine engine(transport.queue(), engine_config);
-
-        core::MultilevelTracer tracer(engine, config.multilevel);
-        return tracer.run();
+  orchestrator::FleetScheduler fleet(config);
+  run_route_fleet<core::MultilevelResult>(
+      fleet, run, result,
+      [&](probe::ProbeEngine& engine) {
+        return core::MultilevelTracer(engine, config.multilevel).run();
       },
-      [&](std::size_t i, core::MultilevelResult& ml) {
-        if (sink) {
-          sink->emit(i, orchestrator::destination_line(
-                            i, feeder.route(i).destination.to_string(),
-                            core::stop_set_envelope_fields(ml), "multilevel",
-                            core::multilevel_to_json(ml)));
-        }
-        if (sim_probes != nullptr) sim_probes->add(ml.total_packets);
-        if (ml.trace.stop_set_active) {
-          result.stop_set_active = true;
-          result.probes_saved_by_stop_set +=
-              ml.trace.probes_saved_by_stop_set;
-          if (ml.trace.stopped_on_hit) ++result.traces_stopped;
-        }
+      [&](std::size_t, const core::MultilevelResult& ml) {
         merge_route(ml, result, distinct_sets, seen_diamonds, aggregated);
-        feeder.release(i);
       });
 
   for (const auto& [root, size] : aggregated.component_sizes()) {

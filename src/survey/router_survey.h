@@ -12,14 +12,12 @@
 #include "common/stats.h"
 #include "core/multilevel.h"
 #include "fakeroute/simulator.h"
+#include "orchestrator/fleet.h"
 #include "orchestrator/result_sink.h"
 #include "probe/cancel.h"
+#include "survey/route_fleet.h"
 #include "topology/generator.h"
 #include "topology/metrics.h"
-
-namespace mmlpt::obs {
-class MetricsRegistry;
-}
 
 namespace mmlpt::survey {
 
@@ -30,28 +28,23 @@ namespace mmlpt::survey {
     const topo::MultipathGraph& ip, const topo::MultipathGraph& router_level,
     const topo::Diamond& diamond);
 
-struct RouterSurveyConfig {
+/// The fleet settings come from FleetConfig (see IpSurveyConfig).
+struct RouterSurveyConfig : orchestrator::FleetConfig {
   std::size_t routes = 200;
   std::size_t distinct_diamonds = 80;
   core::MultilevelConfig multilevel;
   fakeroute::SimConfig sim;
   topo::GeneratorConfig generator;
   std::uint64_t seed = 1;
-  /// Concurrent trace workers; 1 = the historical serial path.
-  int jobs = 1;
-  /// Fleet-wide probe rate limit in packets/second; <= 0 = unlimited.
-  double pps = 0.0;
-  int burst = 64;
   /// Cooperative cancellation (SIGINT plumbing): when the token fires,
   /// in-flight tickets are canceled and run_router_survey throws
   /// probe::CanceledError. nullptr = not cancelable.
   probe::CancelToken* cancel = nullptr;
-  /// Registry the fleet's limiter and the survey's sim-probe counter
-  /// register in; null = uninstrumented. Must outlive the run.
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
-struct RouterSurveyResult {
+/// The router-level statistics, plus the fleet's packet and stop-set
+/// totals.
+struct RouterSurveyResult : RouteFleetTotals {
   /// Router sizes per trace (sets deduplicated by content) — Fig. 12a.
   Histogram distinct_router_size;
   /// Sizes after cross-trace transitive closure — Fig. 12b.
@@ -65,22 +58,17 @@ struct RouterSurveyResult {
   Histogram2D width_before_after;
   std::uint64_t unique_diamonds = 0;
   std::uint64_t routes_traced = 0;
-  std::uint64_t total_packets = 0;
-  /// Doubletree accounting, aggregated from the per-trace counters (see
-  /// IpSurveyResult).
-  bool stop_set_active = false;
-  std::uint64_t probes_saved_by_stop_set = 0;
-  std::uint64_t traces_stopped = 0;
 
   [[nodiscard]] double resolution_fraction(topo::ResolutionClass c) const;
 };
 
-/// Run the survey over the fleet orchestrator: routes are generated
-/// serially, traced/resolved concurrently (`jobs` workers, optional
-/// fleet-wide rate limit), and merged at join time in route order — the
-/// dedup sets and the cross-trace union-find are order-sensitive, so the
-/// merge happens exactly as the historical serial loop did. When `sink`
-/// is non-null, one JSON line per destination streams out in route order.
+/// Run the survey through run_route_fleet (survey/route_fleet.h):
+/// routes are generated lazily in route order, traced/resolved
+/// concurrently (`jobs` workers, optional fleet-wide rate limit), and
+/// merged in route order — the dedup sets and the cross-trace union-find
+/// are order-sensitive, so the merge happens exactly as the historical
+/// serial loop did. When `sink` is non-null, one JSON line per
+/// destination streams out in route order.
 [[nodiscard]] RouterSurveyResult run_router_survey(
     const RouterSurveyConfig& config,
     orchestrator::ResultSink* sink = nullptr);

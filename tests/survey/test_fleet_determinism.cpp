@@ -6,6 +6,7 @@
 #include <sstream>
 #include <string>
 
+#include "daemon/fleet_job.h"
 #include "orchestrator/result_sink.h"
 #include "survey/ip_survey.h"
 #include "survey/router_survey.h"
@@ -131,6 +132,53 @@ TEST(FleetDeterminism, RouterSurveyIdenticalAcrossJobCounts) {
   EXPECT_EQ(serial.router_width.bins(), fleet.router_width.bins());
   EXPECT_EQ(serial.width_before_after.cells(),
             fleet.width_before_after.cells());
+}
+
+TEST(FleetDeterminism, IpSurveyLinesEqualFleetJobLines) {
+  // The IP survey and the daemon's fleet job both run run_route_fleet:
+  // the same world, seed and algorithm give the same bytes, on both
+  // families and at any job count.
+  for (const auto family : {net::Family::kIpv4, net::Family::kIpv6}) {
+    for (const int jobs : {1, 4}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "IPv" << (family == net::Family::kIpv6 ? 6 : 4)
+                   << " jobs " << jobs);
+      IpSurveyConfig config;
+      config.routes = 24;
+      config.distinct_diamonds = 10;
+      config.seed = 3;
+      config.jobs = jobs;
+      config.generator.family = family;
+      std::ostringstream survey_out;
+      {
+        orchestrator::ResultSink sink(survey_out);
+        (void)run_ip_survey(config, &sink);
+      }
+
+      daemon::FleetJobSpec spec;
+      spec.routes = config.routes;
+      spec.algorithm = core::Algorithm::kMda;
+      spec.family = family;
+      spec.seed = config.seed;
+      spec.distinct = config.distinct_diamonds;
+      orchestrator::FleetConfig fleet_config;
+      fleet_config.jobs = jobs;
+      orchestrator::FleetScheduler fleet(fleet_config);
+      std::ostringstream fleet_out;
+      {
+        orchestrator::ResultSink sink(fleet_out);
+        daemon::FleetJobHooks hooks;
+        hooks.on_line = [&](std::size_t i, std::string line) {
+          sink.emit(i, line);
+        };
+        (void)daemon::run_fleet_job(fleet, nullptr, spec,
+                                    fakeroute::SimConfig{}, hooks);
+      }
+
+      EXPECT_FALSE(survey_out.str().empty());
+      EXPECT_EQ(survey_out.str(), fleet_out.str());
+    }
+  }
 }
 
 TEST(FleetDeterminism, RateLimitedSurveyTracesIdentically) {

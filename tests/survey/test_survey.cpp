@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+#include "orchestrator/stop_set.h"
 #include "survey/accounting.h"
 #include "survey/alias_eval.h"
 #include "survey/evaluation.h"
@@ -209,6 +211,58 @@ TEST(RouterSurvey, SmallRouterSurveyRuns) {
   }
   EXPECT_EQ(classified, result.unique_diamonds);
   EXPECT_EQ(result.ip_width.total(), result.unique_diamonds);
+}
+
+/// Run a survey against a stop set warmed by a record-only run of the
+/// same world, and require the stop-set counters in its registry to match
+/// the survey's own non-zero totals. `trace` is `config`'s trace
+/// configuration.
+template <typename Config, typename Run>
+void expect_warm_stop_set_counters(Config& config, core::TraceConfig& trace,
+                                   Run run) {
+  orchestrator::SharedStopSet cold;
+  trace.stop_set = &cold;
+  trace.consult_stop_set = false;
+  (void)run(config);
+
+  orchestrator::SharedStopSet warm;
+  warm.seed(cold.delta());
+  trace.stop_set = &warm;
+  trace.consult_stop_set = true;
+  obs::MetricsRegistry registry;
+  config.metrics = &registry;
+  const auto result = run(config);
+  EXPECT_GT(result.probes_saved_by_stop_set, 0u);
+  EXPECT_GT(result.traces_stopped, 0u);
+  EXPECT_EQ(
+      registry.counter("mmlpt_stop_set_probes_saved_total", "")->value(),
+      result.probes_saved_by_stop_set);
+  EXPECT_EQ(
+      registry.counter("mmlpt_stop_set_traces_stopped_total", "")->value(),
+      result.traces_stopped);
+}
+
+TEST(IpSurvey, WarmStopSetCountsSavingsInTheRegistry) {
+  IpSurveyConfig config;
+  config.routes = 12;
+  config.distinct_diamonds = 5;
+  config.seed = 4;
+  config.generator.shared_prefix_hops = 3;
+  expect_warm_stop_set_counters(
+      config, config.trace,
+      [](const IpSurveyConfig& c) { return run_ip_survey(c); });
+}
+
+TEST(RouterSurvey, WarmStopSetCountsSavingsInTheRegistry) {
+  RouterSurveyConfig config;
+  config.routes = 8;
+  config.distinct_diamonds = 5;
+  config.multilevel.rounds = 2;
+  config.seed = 4;
+  config.generator.shared_prefix_hops = 3;
+  expect_warm_stop_set_counters(
+      config, config.multilevel.trace,
+      [](const RouterSurveyConfig& c) { return run_router_survey(c); });
 }
 
 TEST(AliasEval, RoundsStatsShape) {

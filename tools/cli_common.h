@@ -3,14 +3,17 @@
 // parsing (--family 4|6|ipv4|ipv6, or the traceroute-style bare "-6"),
 // the fleet/window flag block (--window/--jobs/--pps/--burst/--fsync)
 // that mmlpt_trace, mmlpt_survey and mmlpt_fleet all share — declared
-// and validated here exactly once — and the unknown-flag check that
-// derives each tool's accepted flags from its usage text.
+// and validated here exactly once — the JSONL output and interrupt path
+// of the two fleet CLIs (mmlpt_survey, mmlpt_fleet), and the unknown-flag
+// check that derives each tool's accepted flags from its usage text.
 #ifndef MMLPT_TOOLS_CLI_COMMON_H
 #define MMLPT_TOOLS_CLI_COMMON_H
 
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
+#include <ostream>
 #include <set>
 #include <span>
 #include <string>
@@ -23,10 +26,14 @@
 #include "common/json.h"
 #include "core/validation.h"
 #include "daemon/server.h"
+#include "daemon/signals.h"
 #include "net/ip_address.h"
 #include "obs/metrics.h"
 #include "obs/trace_events.h"
+#include "orchestrator/fleet.h"
+#include "orchestrator/result_sink.h"
 #include "orchestrator/stop_set.h"
+#include "probe/cancel.h"
 
 #ifndef MMLPT_GIT_DESCRIBE
 #define MMLPT_GIT_DESCRIBE "unknown"
@@ -181,6 +188,76 @@ class ObsSession {
   std::unique_ptr<obs::TraceRecorder> recorder_;
 };
 
+/// The per-destination JSONL sink of a fleet CLI. With --fsync every
+/// committed line is flushed and fsynced, so a crashed run keeps
+/// everything it already merged.
+struct StreamingOutput {
+  std::ofstream file;
+  std::unique_ptr<orchestrator::FdJsonlFile> durable;
+  std::optional<orchestrator::ResultSink> sink;
+
+  explicit StreamingOutput(std::ostream& out) { sink.emplace(out); }
+
+  StreamingOutput(const std::string& path, bool fsync_lines) {
+    if (fsync_lines) {
+      // Durable streaming needs the raw descriptor to fsync per line.
+      durable = std::make_unique<orchestrator::FdJsonlFile>(path);
+      sink.emplace(durable->stream(),
+                   orchestrator::ResultSink::Options{true, durable->fd()});
+      return;
+    }
+    file.open(path);
+    if (!file) throw SystemError("cannot open --output file: " + path);
+    sink.emplace(file);
+  }
+};
+
+/// The --output FILE / --fsync pair. Without --output the lines go to
+/// `fallback`, or nowhere (nullptr) when there is none.
+inline std::unique_ptr<StreamingOutput> make_output(
+    const Flags& flags, std::ostream* fallback = nullptr) {
+  const auto path = flags.get("output", "");
+  const bool fsync_lines = flags.get_bool("fsync", false);
+  if (path.empty()) {
+    if (fsync_lines) throw ConfigError("--fsync requires --output FILE");
+    if (fallback == nullptr) return nullptr;
+    return std::make_unique<StreamingOutput>(*fallback);
+  }
+  return std::make_unique<StreamingOutput>(path, fsync_lines);
+}
+
+/// RAII link of a CancelToken to the ShutdownSignal: SIGINT/SIGTERM fire
+/// the token, in-flight probes resolve through the transport cancel path
+/// and the run unwinds as CanceledError.
+struct SignalCancelScope {
+  daemon::ShutdownSignal& shutdown = daemon::ShutdownSignal::install();
+  probe::CancelToken token;
+
+  SignalCancelScope() { shutdown.link(&token); }
+  ~SignalCancelScope() { shutdown.link(nullptr); }
+  SignalCancelScope(const SignalCancelScope&) = delete;
+  SignalCancelScope& operator=(const SignalCancelScope&) = delete;
+};
+
+/// The interrupt epilogue of the fleet CLIs: committed lines survive the
+/// interrupt (flushed, and fsynced under --fsync), the stop set's
+/// discoveries are written and the observability artifacts too (partial
+/// artifacts beat none), exactly like a clean exit; then report and turn
+/// the signal into the conventional 128+N exit code.
+inline int finish_interrupted(const char* tool,
+                              const SignalCancelScope& scope,
+                              StreamingOutput* output,
+                              orchestrator::StopSetSession& session,
+                              ObsSession& obs) {
+  if (output != nullptr) output->sink->flush();
+  session.flush();
+  obs.finish();
+  std::fprintf(stderr,
+               "%s: interrupted by signal %d, committed results flushed\n",
+               tool, scope.shutdown.signal());
+  return scope.shutdown.exit_code();
+}
+
 /// Builder for the one machine-parsable JSON summary line the tracing
 /// CLIs print to stderr when a run completes — replacing the old ad-hoc
 /// printf summaries, which scripts had to parse three different ways.
@@ -259,14 +336,12 @@ class SummaryLine {
   JsonWriter w_;
 };
 
-/// The fleet flag block shared by mmlpt_survey, mmlpt_fleet and mmlptd.
-/// Every field is validated here so the three CLIs cannot drift apart.
-/// These tools probe only the Fakeroute simulator, so the block has no
-/// transport choice.
-struct FleetOptions {
-  int jobs = 1;
-  double pps = 0.0;
-  int burst = 64;
+/// The fleet flag block shared by mmlpt_survey, mmlpt_fleet and mmlptd:
+/// the scheduler's FleetConfig (jobs, pps, burst; no metrics registry),
+/// the per-trace window and the stop-set pair. Every field is validated
+/// here so the three CLIs cannot drift apart. These tools probe only the
+/// Fakeroute simulator, so the block has no transport choice.
+struct FleetOptions : orchestrator::FleetConfig {
   int window = 1;
   StopSetOptions stop_set;
 };

@@ -17,18 +17,14 @@
 // 128+signal.
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 
 #include "cli_common.h"
 #include "common/error.h"
 #include "common/flags.h"
 #include "daemon/fleet_job.h"
-#include "daemon/signals.h"
 #include "orchestrator/fleet.h"
-#include "orchestrator/result_sink.h"
 #include "orchestrator/stop_set.h"
 #include "probe/cancel.h"
 
@@ -79,89 +75,41 @@ std::string usage_text() {
 
 int run_fleet(const Flags& flags) {
   const auto spec = tools::parse_job_spec(flags);  // throws on empty list
-  const std::size_t count = spec.destination_count();
-  const auto fleet_options = tools::parse_fleet_options(flags);
-  orchestrator::FleetConfig fleet_config;
-  fleet_config.jobs = fleet_options.jobs;
-  fleet_config.pps = fleet_options.pps;
-  fleet_config.burst = fleet_options.burst;
-
-  const bool fsync_lines = flags.get_bool("fsync", false);
-  if (fsync_lines && !flags.has("output")) {
-    throw ConfigError("--fsync requires --output FILE");
-  }
-  std::ofstream file;
-  std::unique_ptr<orchestrator::FdJsonlFile> durable;
-  std::ostream* out = &std::cout;
-  orchestrator::ResultSink::Options sink_options;
-  if (flags.has("output")) {
-    const auto path = flags.get("output", "");
-    if (fsync_lines) {
-      // Durable streaming needs the raw descriptor to fsync per line.
-      durable = std::make_unique<orchestrator::FdJsonlFile>(path);
-      out = &durable->stream();
-      sink_options.fsync_each_line = true;
-      sink_options.fd = durable->fd();
-    } else {
-      file.open(path);
-      if (!file) throw SystemError("cannot open --output file: " + path);
-      out = &file;
-    }
-  }
-  orchestrator::ResultSink sink(*out, sink_options);
+  auto fleet_options = tools::parse_fleet_options(flags);
+  const auto output = tools::make_output(flags, &std::cout);
 
   tools::ObsSession obs(tools::parse_obs_options(flags));
-  fleet_config.metrics = &obs.registry();
+  fleet_options.metrics = &obs.registry();
   orchestrator::StopSetSession stop_set_session(
       fleet_options.stop_set.topology_cache, fleet_options.stop_set.consult);
   stop_set_session.instrument(obs.registry());
-  const fakeroute::SimConfig sim_config;
-  orchestrator::FleetScheduler fleet(fleet_config);
-
-  // An interrupt fires the token; in-flight probes resolve through the
-  // transport cancel path and the run unwinds as CanceledError below.
-  auto& shutdown = daemon::ShutdownSignal::install();
-  probe::CancelToken cancel;
-  shutdown.link(&cancel);
+  orchestrator::FleetScheduler fleet(fleet_options);
+  tools::SignalCancelScope cancel_scope;
 
   daemon::FleetJobHooks hooks;
   hooks.on_line = [&](std::size_t i, const std::string& line) {
-    sink.emit(i, line);
+    output->sink->emit(i, line);
   };
-  hooks.cancel = &cancel;
+  hooks.cancel = &cancel_scope.token;
 
-  bool canceled = false;
   daemon::FleetJobCounters counters;
   const auto start = std::chrono::steady_clock::now();
   try {
-    counters =
-        daemon::run_fleet_job(fleet, &stop_set_session, spec, sim_config,
-                              hooks);
+    counters = daemon::run_fleet_job(fleet, &stop_set_session, spec,
+                                     fakeroute::SimConfig{}, hooks);
   } catch (const probe::CanceledError&) {
-    canceled = true;
+    return tools::finish_interrupted("mmlpt_fleet", cancel_scope,
+                                     output.get(), stop_set_session, obs);
   }
   const auto elapsed =
       std::chrono::duration_cast<std::chrono::duration<double>>(
           std::chrono::steady_clock::now() - start);
-  shutdown.link(nullptr);
-  // Committed lines survive the interrupt: flush (and fsync) them, then
-  // persist the stop set's discoveries, exactly like a clean exit.
-  sink.flush();
-  if (canceled) {
-    std::fprintf(stderr,
-                 "mmlpt_fleet: interrupted by signal %d, committed results "
-                 "flushed\n",
-                 shutdown.signal());
-    stop_set_session.flush();
-    obs.finish();  // partial artifacts beat none
-    return shutdown.exit_code();
-  }
+  output->sink->flush();
   // One machine-parsable summary line (the CI warm-cache gate greps the
   // stop_set fields; the union digest identifies the discovered topology
   // regardless of how discovery was split between cache and probing).
-  tools::SummaryLine(
-      "mmlpt_fleet")
-      .field("destinations", static_cast<std::uint64_t>(count))
+  tools::SummaryLine("mmlpt_fleet")
+      .field("destinations", static_cast<std::uint64_t>(counters.destinations))
       .field("reached", counters.reached)
       .field("packets", counters.packets)
       .field("diamonds", counters.diamonds)
@@ -171,7 +119,7 @@ int run_fleet(const Flags& flags) {
              elapsed.count() > 0
                  ? static_cast<double>(counters.packets) / elapsed.count()
                  : 0.0)
-      .field("jobs", static_cast<std::int64_t>(fleet_config.jobs))
+      .field("jobs", static_cast<std::int64_t>(fleet_options.jobs))
       .field("transport", "sim")
       .stop_set(stop_set_session, counters.probes_saved_by_stop_set,
                 counters.traces_stopped)

@@ -6,8 +6,6 @@
 // See kUsage below (printed by --help) for invocation examples and the
 // option list.
 #include <cstdio>
-#include <fstream>
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -15,8 +13,6 @@
 #include "common/error.h"
 #include "common/flags.h"
 #include "common/json.h"
-#include "daemon/signals.h"
-#include "orchestrator/result_sink.h"
 #include "orchestrator/stop_set.h"
 #include "probe/cancel.h"
 #include "survey/evaluation.h"
@@ -63,37 +59,6 @@ void emit_histogram(JsonWriter& w, const Histogram& h) {
   w.end_object();
 }
 
-/// Per-destination JSONL sink bound to --output; nullptr when absent.
-/// With --fsync every committed line is flushed and fsynced so a crashed
-/// survey keeps everything it already merged.
-struct StreamingOutput {
-  std::ofstream file;
-  std::unique_ptr<orchestrator::FdJsonlFile> durable;
-  std::optional<orchestrator::ResultSink> sink;
-
-  StreamingOutput(const std::string& path, bool fsync_lines) {
-    if (fsync_lines) {
-      durable = std::make_unique<orchestrator::FdJsonlFile>(path);
-      sink.emplace(durable->stream(),
-                   orchestrator::ResultSink::Options{true, durable->fd()});
-      return;
-    }
-    file.open(path);
-    if (!file) throw SystemError("cannot open --output file: " + path);
-    sink.emplace(file);
-  }
-};
-
-std::unique_ptr<StreamingOutput> make_output(const Flags& flags) {
-  const auto path = flags.get("output", "");
-  const bool fsync_lines = flags.get_bool("fsync", false);
-  if (path.empty()) {
-    if (fsync_lines) throw ConfigError("--fsync requires --output FILE");
-    return nullptr;
-  }
-  return std::make_unique<StreamingOutput>(path, fsync_lines);
-}
-
 /// The "stop_set" summary object — only emitted when a topology cache is
 /// in use, so default output stays byte-stable.
 void emit_stop_set_summary(JsonWriter& w,
@@ -117,62 +82,39 @@ void emit_stop_set_summary(JsonWriter& w,
   w.end_object();
 }
 
-/// RAII link of a CancelToken to the ShutdownSignal: SIGINT/SIGTERM fire
-/// the token, the survey unwinds as CanceledError, and the caller gets
-/// the committed-results flush either way.
-struct SignalCancelScope {
-  daemon::ShutdownSignal& shutdown = daemon::ShutdownSignal::install();
-  probe::CancelToken token;
-
-  SignalCancelScope() { shutdown.link(&token); }
-  ~SignalCancelScope() { shutdown.link(nullptr); }
-};
-
-/// Shared interrupt epilogue: flush what was committed, report, and turn
-/// the signal into the conventional 128+N exit code.
-int finish_interrupted(const SignalCancelScope& scope,
-                       StreamingOutput* output,
-                       orchestrator::StopSetSession& session) {
-  if (output != nullptr) output->sink->flush();
-  session.flush();
-  std::fprintf(stderr,
-               "mmlpt_survey: interrupted by signal %d, committed results "
-               "flushed\n",
-               scope.shutdown.signal());
-  return scope.shutdown.exit_code();
-}
-
-int run_ip(const Flags& flags, JsonWriter& w) {
-  survey::IpSurveyConfig config;
-  config.generator.family = tools::parse_family(flags);
-  config.routes = flags.get_uint("routes", 500);
-  config.distinct_diamonds = flags.get_uint("distinct", 200);
-  config.seed = flags.get_uint("seed", 1);
+/// Run one fleet survey (ip or router mode) with the plumbing both modes
+/// share: the fleet, stop-set and observability flags, --output, the
+/// interrupt path and the stderr summary line. `run(config, sink)` runs
+/// the survey; the stdout report gets the common head (mode, transport,
+/// routes) and then whatever `report(result, stop_set_session)` writes.
+/// `trace` is `config`'s trace configuration. Returns the exit code.
+template <typename Config, typename Run, typename Report>
+int run_fleet_survey(const Flags& flags, const char* mode, Config& config,
+                     core::TraceConfig& trace, JsonWriter& w, Run run,
+                     Report report) {
   const auto fleet_options = tools::parse_fleet_options(flags);
-  config.jobs = fleet_options.jobs;
-  config.pps = fleet_options.pps;
-  config.burst = fleet_options.burst;
-  config.trace.window = fleet_options.window;
+  static_cast<orchestrator::FleetConfig&>(config) = fleet_options;
+  trace.window = fleet_options.window;
   orchestrator::StopSetSession stop_set_session(
       fleet_options.stop_set.topology_cache, fleet_options.stop_set.consult);
-  stop_set_session.configure(config.trace);
+  stop_set_session.configure(trace);
   tools::ObsSession obs(tools::parse_obs_options(flags));
   stop_set_session.instrument(obs.registry());
   config.metrics = &obs.registry();
-  const auto output = make_output(flags);
-  SignalCancelScope cancel_scope;
+  const auto output = tools::make_output(flags);
+  tools::SignalCancelScope cancel_scope;
   config.cancel = &cancel_scope.token;
-  std::optional<decltype(survey::run_ip_survey(config, nullptr))> maybe;
+  std::optional<decltype(run(config, nullptr))> maybe;
   try {
-    maybe = survey::run_ip_survey(config, output ? &*output->sink : nullptr);
+    maybe = run(config, output ? &*output->sink : nullptr);
   } catch (const probe::CanceledError&) {
-    obs.finish();  // partial artifacts beat none
-    return finish_interrupted(cancel_scope, output.get(), stop_set_session);
+    return tools::finish_interrupted("mmlpt_survey", cancel_scope,
+                                     output.get(), stop_set_session, obs);
   }
   const auto& result = *maybe;
   stop_set_session.flush();
   tools::SummaryLine("mmlpt_survey")
-      .field("mode", "ip_survey")
+      .field("mode", mode)
       .field("transport", "sim")
       .field("routes", result.routes_traced)
       .field("packets", result.total_packets)
@@ -184,41 +126,56 @@ int run_ip(const Flags& flags, JsonWriter& w) {
 
   w.begin_object();
   w.key("mode");
-  w.value("ip_survey");
+  w.value(mode);
   w.key("transport");
   w.value("sim");
   w.key("routes");
   w.value(result.routes_traced);
-  w.key("routes_with_diamonds");
-  w.value(result.routes_with_diamonds);
-  w.key("total_packets");
-  w.value(result.total_packets);
-  emit_stop_set_summary(w, stop_set_session, result.probes_saved_by_stop_set,
-                        result.traces_stopped);
-  for (const auto side : {"measured", "distinct"}) {
-    const auto& d = side == std::string("measured")
-                        ? result.accounting.measured()
-                        : result.accounting.distinct();
-    w.key(side);
-    w.begin_object();
-    w.key("total");
-    w.value(d.total);
-    w.key("meshed");
-    w.value(d.meshed);
-    w.key("asymmetric");
-    w.value(d.asymmetric);
-    w.key("length2");
-    w.value(d.length2);
-    w.key("max_width_histogram");
-    emit_histogram(w, d.max_width);
-    w.key("max_length_histogram");
-    emit_histogram(w, d.max_length);
-    w.key("width_asymmetry_histogram");
-    emit_histogram(w, d.width_asymmetry);
-    w.end_object();
-  }
+  report(result, stop_set_session);
   w.end_object();
   return 0;
+}
+
+int run_ip(const Flags& flags, JsonWriter& w) {
+  survey::IpSurveyConfig config;
+  config.generator.family = tools::parse_family(flags);
+  config.routes = flags.get_uint("routes", 500);
+  config.distinct_diamonds = flags.get_uint("distinct", 200);
+  config.seed = flags.get_uint("seed", 1);
+  return run_fleet_survey(
+      flags, "ip_survey", config, config.trace, w, &survey::run_ip_survey,
+      [&](const survey::IpSurveyResult& result,
+          const orchestrator::StopSetSession& stop_set_session) {
+        w.key("routes_with_diamonds");
+        w.value(result.routes_with_diamonds);
+        w.key("total_packets");
+        w.value(result.total_packets);
+        emit_stop_set_summary(w, stop_set_session,
+                              result.probes_saved_by_stop_set,
+                              result.traces_stopped);
+        for (const auto side : {"measured", "distinct"}) {
+          const auto& d = side == std::string("measured")
+                              ? result.accounting.measured()
+                              : result.accounting.distinct();
+          w.key(side);
+          w.begin_object();
+          w.key("total");
+          w.value(d.total);
+          w.key("meshed");
+          w.value(d.meshed);
+          w.key("asymmetric");
+          w.value(d.asymmetric);
+          w.key("length2");
+          w.value(d.length2);
+          w.key("max_width_histogram");
+          emit_histogram(w, d.max_width);
+          w.key("max_length_histogram");
+          emit_histogram(w, d.max_length);
+          w.key("width_asymmetry_histogram");
+          emit_histogram(w, d.width_asymmetry);
+          w.end_object();
+        }
+      });
 }
 
 int run_evaluation(const Flags& flags, JsonWriter& w) {
@@ -272,71 +229,34 @@ int run_router(const Flags& flags, JsonWriter& w) {
   config.distinct_diamonds = flags.get_uint("distinct", 80);
   config.multilevel.rounds = static_cast<int>(flags.get_int("rounds", 10));
   config.seed = flags.get_uint("seed", 1);
-  const auto fleet_options = tools::parse_fleet_options(flags);
-  config.jobs = fleet_options.jobs;
-  config.pps = fleet_options.pps;
-  config.burst = fleet_options.burst;
-  config.multilevel.trace.window = fleet_options.window;
-  orchestrator::StopSetSession stop_set_session(
-      fleet_options.stop_set.topology_cache, fleet_options.stop_set.consult);
-  stop_set_session.configure(config.multilevel.trace);
-  tools::ObsSession obs(tools::parse_obs_options(flags));
-  stop_set_session.instrument(obs.registry());
-  config.metrics = &obs.registry();
-  const auto output = make_output(flags);
-  SignalCancelScope cancel_scope;
-  config.cancel = &cancel_scope.token;
-  std::optional<decltype(survey::run_router_survey(config, nullptr))> maybe;
-  try {
-    maybe =
-        survey::run_router_survey(config, output ? &*output->sink : nullptr);
-  } catch (const probe::CanceledError&) {
-    obs.finish();  // partial artifacts beat none
-    return finish_interrupted(cancel_scope, output.get(), stop_set_session);
-  }
-  const auto& result = *maybe;
-  stop_set_session.flush();
-  tools::SummaryLine("mmlpt_survey")
-      .field("mode", "router_survey")
-      .field("transport", "sim")
-      .field("routes", result.routes_traced)
-      .field("packets", result.total_packets)
-      .stop_set(stop_set_session, result.probes_saved_by_stop_set,
-                result.traces_stopped)
-      .metrics(obs.registry())
-      .print();
-  obs.finish();
-
-  w.begin_object();
-  w.key("mode");
-  w.value("router_survey");
-  w.key("transport");
-  w.value("sim");
-  w.key("routes");
-  w.value(result.routes_traced);
-  w.key("unique_diamonds");
-  w.value(result.unique_diamonds);
-  emit_stop_set_summary(w, stop_set_session, result.probes_saved_by_stop_set,
-                        result.traces_stopped);
-  w.key("resolution");
-  w.begin_object();
-  w.key("no_change");
-  w.value(result.resolution_fraction(topo::ResolutionClass::kNoChange));
-  w.key("single_smaller");
-  w.value(result.resolution_fraction(
-      topo::ResolutionClass::kSingleSmallerDiamond));
-  w.key("multiple_smaller");
-  w.value(result.resolution_fraction(
-      topo::ResolutionClass::kMultipleSmallerDiamonds));
-  w.key("one_path");
-  w.value(result.resolution_fraction(topo::ResolutionClass::kOnePath));
-  w.end_object();
-  w.key("distinct_router_sizes");
-  emit_histogram(w, result.distinct_router_size);
-  w.key("aggregated_router_sizes");
-  emit_histogram(w, result.aggregated_router_size);
-  w.end_object();
-  return 0;
+  return run_fleet_survey(
+      flags, "router_survey", config, config.multilevel.trace, w,
+      &survey::run_router_survey,
+      [&](const survey::RouterSurveyResult& result,
+          const orchestrator::StopSetSession& stop_set_session) {
+        w.key("unique_diamonds");
+        w.value(result.unique_diamonds);
+        emit_stop_set_summary(w, stop_set_session,
+                              result.probes_saved_by_stop_set,
+                              result.traces_stopped);
+        w.key("resolution");
+        w.begin_object();
+        w.key("no_change");
+        w.value(result.resolution_fraction(topo::ResolutionClass::kNoChange));
+        w.key("single_smaller");
+        w.value(result.resolution_fraction(
+            topo::ResolutionClass::kSingleSmallerDiamond));
+        w.key("multiple_smaller");
+        w.value(result.resolution_fraction(
+            topo::ResolutionClass::kMultipleSmallerDiamonds));
+        w.key("one_path");
+        w.value(result.resolution_fraction(topo::ResolutionClass::kOnePath));
+        w.end_object();
+        w.key("distinct_router_sizes");
+        emit_histogram(w, result.distinct_router_size);
+        w.key("aggregated_router_sizes");
+        emit_histogram(w, result.aggregated_router_size);
+      });
 }
 
 }  // namespace

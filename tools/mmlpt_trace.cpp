@@ -16,7 +16,6 @@
 #include "cli_common.h"
 #include "common/flags.h"
 #include "core/multilevel.h"
-#include "core/single_flow.h"
 #include "core/trace_json.h"
 #include "core/validation.h"
 #include "fakeroute/simulator.h"
@@ -265,30 +264,16 @@ int run(const Flags& flags) {
     print_summary(result.total_packets,
                   result.trace.probes_saved_by_stop_set,
                   result.trace.stopped_on_hit ? 1 : 0);
-    stop_set_session.flush();
-    obs.finish();
-    return 0;
-  }
-
-  core::TraceResult result;
-  switch (algorithm) {
-    case core::Algorithm::kMda:
-      result = core::MdaTracer(engine, trace_config).run();
-      break;
-    case core::Algorithm::kMdaLite:
-      result = core::MdaLiteTracer(engine, trace_config).run();
-      break;
-    case core::Algorithm::kSingleFlow:
-      result = core::SingleFlowTracer(engine, trace_config).run();
-      break;
-  }
-  if (json) {
-    std::printf("%s\n", core::trace_to_json(result).c_str());
   } else {
-    print_text_trace(result);
+    const auto result = core::run_tracer(engine, algorithm, trace_config);
+    if (json) {
+      std::printf("%s\n", core::trace_to_json(result).c_str());
+    } else {
+      print_text_trace(result);
+    }
+    print_summary(result.packets, result.probes_saved_by_stop_set,
+                  result.stopped_on_hit ? 1 : 0);
   }
-  print_summary(result.packets, result.probes_saved_by_stop_set,
-                result.stopped_on_hit ? 1 : 0);
   stop_set_session.flush();
   obs.finish();
   return 0;

@@ -57,9 +57,7 @@ int run_daemon(const Flags& flags) {
 
   daemon::DaemonConfig config;
   config.socket_path = options.socket;
-  config.fleet.jobs = fleet_options.jobs;
-  config.fleet.pps = fleet_options.pps;
-  config.fleet.burst = fleet_options.burst;
+  config.fleet = fleet_options;
   config.admission = options.admission;
   config.topology_cache = fleet_options.stop_set.topology_cache;
   config.consult_stop_set = fleet_options.stop_set.consult;
