@@ -56,25 +56,4 @@ bool mbt_compatible(const IpIdSeries& a, const IpIdSeries& b) {
   return mbt_compatible(pair);
 }
 
-std::vector<std::vector<std::size_t>> mbt_partition(
-    std::span<const IpIdSeries* const> series) {
-  std::vector<std::vector<std::size_t>> groups;
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    bool placed = false;
-    for (auto& group : groups) {
-      std::vector<const IpIdSeries*> candidate;
-      candidate.reserve(group.size() + 1);
-      for (const std::size_t g : group) candidate.push_back(series[g]);
-      candidate.push_back(series[i]);
-      if (mbt_compatible(candidate)) {
-        group.push_back(i);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) groups.push_back({i});
-  }
-  return groups;
-}
-
 }  // namespace mmlpt::alias

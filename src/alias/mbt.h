@@ -5,7 +5,6 @@
 #define MMLPT_ALIAS_MBT_H
 
 #include <span>
-#include <vector>
 
 #include "alias/ip_id_series.h"
 
@@ -18,12 +17,6 @@ namespace mmlpt::alias {
 
 /// Convenience pair form.
 [[nodiscard]] bool mbt_compatible(const IpIdSeries& a, const IpIdSeries& b);
-
-/// Greedy set refinement: place each series into the first group whose
-/// merged samples stay monotonic; open a new group otherwise. Returns
-/// groups as index lists into `series`. Order-deterministic.
-[[nodiscard]] std::vector<std::vector<std::size_t>> mbt_partition(
-    std::span<const IpIdSeries* const> series);
 
 }  // namespace mmlpt::alias
 

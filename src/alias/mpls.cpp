@@ -24,10 +24,4 @@ bool mpls_incompatible(const MplsEvidence& a, const MplsEvidence& b) {
   return la && lb && *la != *lb;
 }
 
-bool mpls_alias_hint(const MplsEvidence& a, const MplsEvidence& b) {
-  const auto la = a.stable_label();
-  const auto lb = b.stable_label();
-  return la && lb && *la == *lb;
-}
-
 }  // namespace mmlpt::alias

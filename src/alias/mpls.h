@@ -35,10 +35,6 @@ class MplsEvidence {
 [[nodiscard]] bool mpls_incompatible(const MplsEvidence& a,
                                      const MplsEvidence& b);
 
-/// Same stable label: very likely the same router.
-[[nodiscard]] bool mpls_alias_hint(const MplsEvidence& a,
-                                   const MplsEvidence& b);
-
 }  // namespace mmlpt::alias
 
 #endif  // MMLPT_ALIAS_MPLS_H

@@ -1,14 +1,15 @@
 #include "core/stopping_points.h"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cmath>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "common/assert.h"
 #include "common/mutex.h"
-#include "common/stats.h"
 
 namespace mmlpt::core {
 
@@ -103,11 +104,23 @@ double StoppingPoints::miss_probability(int n, int successor_count) {
   // exactly also sidesteps the alternating sum's cancellation there.
   if (n < K) return 1.0;
   if (K == 1) return 0.0;
+  // C(K, j) for j <= K/2, built incrementally with the very operations
+  // binomial(K, j) performs, so each coefficient (and with it every n_k)
+  // is bit-identical to the direct formula; C(K, j) = C(K, K - j) above.
+  // From K ~ 1020 on, C(K, j - 1) * (K - j + 1) overflows although C(K, j)
+  // does not; dividing first keeps the coefficient finite there.
+  std::vector<double> choose(static_cast<std::size_t>(K / 2) + 1, 1.0);
+  for (std::size_t j = 1; j < choose.size(); ++j) {
+    const auto factor = static_cast<double>(K - (j - 1));
+    const double product = choose[j - 1] * factor;
+    choose[j] = std::isinf(product)
+                    ? choose[j - 1] / static_cast<double>(j) * factor
+                    : product / static_cast<double>(j);
+  }
   double p = 0.0;
   for (int j = 1; j < K; ++j) {
-    const double term =
-        binomial(static_cast<unsigned>(K), static_cast<unsigned>(j)) *
-        std::pow(1.0 - static_cast<double>(j) / K, n);
+    const double term = choose[static_cast<std::size_t>(std::min(j, K - j))] *
+                        std::pow(1.0 - static_cast<double>(j) / K, n);
     p += (j % 2 == 1) ? term : -term;
   }
   return std::min(1.0, std::max(0.0, p));

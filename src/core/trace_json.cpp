@@ -51,12 +51,6 @@ void emit_outcome(JsonWriter& w, alias::Outcome outcome) {
 
 }  // namespace
 
-std::string graph_to_json(const topo::MultipathGraph& graph) {
-  JsonWriter w;
-  emit_graph(w, graph);
-  return std::move(w).take();
-}
-
 std::string trace_to_json(const TraceResult& result) {
   JsonWriter w;
   w.begin_object();

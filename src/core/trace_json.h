@@ -11,9 +11,6 @@
 
 namespace mmlpt::core {
 
-/// Multipath graph as {"hops": [[{"addr":..., "successors":[...]}]]}.
-[[nodiscard]] std::string graph_to_json(const topo::MultipathGraph& graph);
-
 /// Full trace result: graph, packet count, flags, discovery events.
 [[nodiscard]] std::string trace_to_json(const TraceResult& result);
 

@@ -16,19 +16,8 @@ TraceResult run_trace(const topo::GroundTruth& truth, Algorithm algorithm,
                       std::uint64_t seed, ReplyObserver* observer) {
   fakeroute::Simulator simulator(truth, sim_config, seed);
   probe::SimulatedNetwork network(simulator);
-  return run_trace_with_network(network, truth.source, truth.destination,
-                                algorithm, config, observer);
-}
-
-TraceResult run_trace_with_network(probe::TransportQueue& network,
-                                   net::Ipv4Address source,
-                                   net::Ipv4Address destination,
-                                   Algorithm algorithm, TraceConfig config,
-                                   ReplyObserver* observer) {
-  probe::ProbeEngine::Config engine_config;
-  engine_config.source = source;
-  engine_config.destination = destination;
-  probe::ProbeEngine engine(network, engine_config);
+  probe::ProbeEngine engine(
+      network, {.source = truth.source, .destination = truth.destination});
   return run_tracer(engine, algorithm, config, observer);
 }
 

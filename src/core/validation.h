@@ -33,18 +33,10 @@ enum class Algorithm : std::uint8_t { kMda, kMdaLite, kSingleFlow };
                                     std::uint64_t seed,
                                     ReplyObserver* observer = nullptr);
 
-/// Same, but over a caller-supplied transport queue — the seam that lets
-/// the fleet orchestrator interpose decorators (rate limiting,
-/// cancellation) or swap in a real RawSocketNetwork.
-/// `source`/`destination` address the crafted probes. The engine owns
-/// the queue's tickets for the duration of the trace.
-[[nodiscard]] TraceResult run_trace_with_network(
-    probe::TransportQueue& network, net::Ipv4Address source,
-    net::Ipv4Address destination, Algorithm algorithm, TraceConfig config,
-    ReplyObserver* observer = nullptr);
-
 /// Trace with the chosen algorithm over a ready engine: the step
-/// run_trace_with_network and the fleet's route tasks share.
+/// run_trace, mmlpt_trace and the fleet's route tasks share. The engine's
+/// transport queue is where callers interpose decorators (rate limiting,
+/// cancellation) or a real RawSocketNetwork.
 [[nodiscard]] TraceResult run_tracer(probe::ProbeEngine& engine,
                                      Algorithm algorithm, TraceConfig config,
                                      ReplyObserver* observer = nullptr);

@@ -162,7 +162,9 @@ struct ResultLine {
 
 struct StopSetSummary {
   std::uint64_t job_id = 0;
-  /// The machine-parsable key=value text mmlpt_fleet prints to stderr.
+  /// The job's stop-set summary, the JSON object that
+  /// StopSetSession::write_summary renders (the "stop_set" object of
+  /// mmlpt_fleet's stderr summary line); mmlpt_client prints it to stderr.
   std::string text;
 };
 

@@ -35,24 +35,6 @@ constexpr std::size_t kOutboxCap = 256u << 10;
 /// for a connection to close before accept() is tried again anyway.
 constexpr int kAcceptRetryMs = 100;
 
-/// The StopSetSummary frame's machine-parsable text ("stop-set
-/// visible_hops=... pending_hops=... probes_saved=... stopped=...
-/// union_digest=%016llx"); clients and scripts grep these key=value
-/// pairs.
-std::string stop_set_summary_text(const orchestrator::SharedStopSet& stop_set,
-                                  std::uint64_t probes_saved,
-                                  std::uint64_t traces_stopped) {
-  char buffer[192];
-  std::snprintf(buffer, sizeof buffer,
-                "stop-set visible_hops=%zu pending_hops=%zu "
-                "probes_saved=%llu stopped=%llu union_digest=%016llx",
-                stop_set.visible_hop_count(), stop_set.pending_hop_count(),
-                static_cast<unsigned long long>(probes_saved),
-                static_cast<unsigned long long>(traces_stopped),
-                static_cast<unsigned long long>(stop_set.union_digest()));
-  return buffer;
-}
-
 }  // namespace
 
 // ---- Connection --------------------------------------------------------
@@ -471,11 +453,12 @@ void Daemon::run_job(Connection& connection, const JobRequest& request,
     const FleetJobCounters counters =
         run_fleet_job(fleet_, &stop_set_session_, request.spec, config_.sim,
                       hooks);
-    if (const auto* stop_set = stop_set_session_.stop_set()) {
-      send(encode_stop_set_summary(
-          {request.job_id,
-           stop_set_summary_text(*stop_set, counters.probes_saved_by_stop_set,
-                                 counters.traces_stopped)}));
+    if (stop_set_session_.active()) {
+      JsonWriter summary;
+      stop_set_session_.write_summary(summary,
+                                      counters.probes_saved_by_stop_set,
+                                      counters.traces_stopped);
+      send(encode_stop_set_summary({request.job_id, summary.view()}));
     }
     status.packets = counters.packets;
     jobs_completed_->add();

@@ -1,7 +1,9 @@
 #include "orchestrator/stop_set.h"
 
 #include <algorithm>
+#include <cstdio>
 
+#include "common/assert.h"
 #include "obs/metrics.h"
 
 namespace mmlpt::orchestrator {
@@ -158,6 +160,28 @@ void StopSetSession::configure(core::TraceConfig& config) {
   if (!active()) return;
   config.stop_set = &set_;
   config.consult_stop_set = consult_;
+}
+
+void StopSetSession::write_summary(JsonWriter& w, std::uint64_t probes_saved,
+                                   std::uint64_t traces_stopped) const {
+  MMLPT_EXPECTS(active());
+  w.begin_object();
+  w.key("consulted");
+  w.value(consult_);
+  w.key("visible_hops");
+  w.value(static_cast<std::uint64_t>(set_.visible_hop_count()));
+  w.key("pending_hops");
+  w.value(static_cast<std::uint64_t>(set_.pending_hop_count()));
+  w.key("probes_saved");
+  w.value(probes_saved);
+  w.key("traces_stopped");
+  w.value(traces_stopped);
+  char digest[17];
+  std::snprintf(digest, sizeof digest, "%016llx",
+                static_cast<unsigned long long>(set_.union_digest()));
+  w.key("union_digest");
+  w.value(digest);
+  w.end_object();
 }
 
 void StopSetSession::flush() {

@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "core/stop_set.h"
@@ -130,6 +131,15 @@ class StopSetSession {
   /// Append this run's delta to the store (no-op when inactive or the
   /// delta is empty).
   void flush();
+
+  /// Write the run's stop-set summary object to `w`: {"consulted",
+  /// "visible_hops","pending_hops","probes_saved","traces_stopped",
+  /// "union_digest"}. The union digest identifies the discovered topology
+  /// however discovery was split between cache and probing. The CLIs'
+  /// stderr summary line and the daemon's StopSetSummary frame both carry
+  /// this object. Requires active().
+  void write_summary(JsonWriter& w, std::uint64_t probes_saved,
+                     std::uint64_t traces_stopped) const;
 
   [[nodiscard]] SharedStopSet* stop_set() noexcept {
     return active() ? &set_ : nullptr;

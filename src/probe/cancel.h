@@ -8,8 +8,8 @@
 // resolves the trace's IN-FLIGHT tickets through the inner queue's
 // cancel() before aborting, so an abandoned trace stops spending probes
 // instead of draining its deadlines. The abort surfaces as CanceledError,
-// which unwinds through ProbeEngine and run_trace_with_network to
-// whoever owns the trace.
+// which unwinds through ProbeEngine and the tracer to whoever owns the
+// trace.
 //
 // request() is async-signal-safe (a relaxed atomic store), so a signal
 // handler may fire the token directly.

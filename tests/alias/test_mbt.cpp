@@ -65,60 +65,5 @@ TEST(Mbt, SingleOutOfSequenceSampleSplits) {
   EXPECT_FALSE(mbt_compatible(a, corrupted));
 }
 
-TEST(Mbt, PartitionGroupsSharedCounters) {
-  // Four addresses: {0,1} share counter X, {2,3} share counter Y.
-  IpIdSeries s0, s1, s2, s3;
-  Nanos t = 1'000'000'000;
-  std::uint16_t x = 100;
-  std::uint16_t y = 30000;
-  for (int i = 0; i < 20; ++i) {
-    s0.add(t, x, 0); t += 500'000; x += 2;
-    s2.add(t, y, 0); t += 500'000; y += 4;
-    s1.add(t, x, 0); t += 500'000; x += 2;
-    s3.add(t, y, 0); t += 500'000; y += 4;
-  }
-  const IpIdSeries* series[] = {&s0, &s1, &s2, &s3};
-  const auto groups = mbt_partition(series);
-  ASSERT_EQ(groups.size(), 2u);
-  EXPECT_EQ(groups[0], (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(groups[1], (std::vector<std::size_t>{2, 3}));
-}
-
-TEST(Mbt, PartitionAllSeparate) {
-  IpIdSeries s0, s1, s2;
-  Nanos t = 1'000'000'000;
-  // Deliberately conflicting phases.
-  const std::uint16_t starts[] = {100, 40000, 20000};
-  IpIdSeries* all[] = {&s0, &s1, &s2};
-  for (int i = 0; i < 15; ++i) {
-    for (int j = 0; j < 3; ++j) {
-      all[j]->add(t, static_cast<std::uint16_t>(starts[j] + i * 7), 0);
-      t += 400'000;
-    }
-  }
-  const IpIdSeries* series[] = {&s0, &s1, &s2};
-  EXPECT_EQ(mbt_partition(series).size(), 3u);
-}
-
-TEST(Mbt, EmptyInput) {
-  EXPECT_TRUE(mbt_partition({}).empty());
-}
-
-TEST(Mbt, ThreeWaySharedCounter) {
-  IpIdSeries s0, s1, s2;
-  Nanos t = 1'000'000'000;
-  std::uint16_t id = 9000;
-  IpIdSeries* all[] = {&s0, &s1, &s2};
-  for (int i = 0; i < 30; ++i) {
-    all[i % 3]->add(t, id, 0);
-    t += 700'000;
-    id += 3;
-  }
-  const IpIdSeries* series[] = {&s0, &s1, &s2};
-  const auto groups = mbt_partition(series);
-  ASSERT_EQ(groups.size(), 1u);
-  EXPECT_EQ(groups[0].size(), 3u);
-}
-
 }  // namespace
 }  // namespace mmlpt::alias

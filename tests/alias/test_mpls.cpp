@@ -52,12 +52,6 @@ TEST(Mpls, NoEvidenceNeverIncompatible) {
   EXPECT_FALSE(mpls_incompatible(with_labels({1, 2}), with_labels({3})));
 }
 
-TEST(Mpls, AliasHint) {
-  EXPECT_TRUE(mpls_alias_hint(with_labels({9}), with_labels({9})));
-  EXPECT_FALSE(mpls_alias_hint(with_labels({9}), with_labels({8})));
-  EXPECT_FALSE(mpls_alias_hint(MplsEvidence{}, with_labels({9})));
-}
-
 TEST(Mpls, OnlyTopLabelConsidered) {
   MplsEvidence e;
   const net::MplsLabelEntry stack[] = {{100, 0, false, 5}, {7, 0, true, 5}};

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <thread>
 #include <vector>
 
 #include "common/error.h"
+#include "common/stats.h"
 
 namespace mmlpt::core {
 namespace {
@@ -156,6 +158,59 @@ TEST(StoppingPoints, PinsValuesPastOneHundredTwentyEight) {
   const auto sp = StoppingPoints::for_global(0.05, 30);
   EXPECT_EQ(sp.n(128), 1444);
   EXPECT_EQ(sp.n(256), 3058);
+}
+
+/// P(n, K) straight from the formula, one binomial(K, j) per term: the
+/// reference the table's incremental coefficients must reproduce.
+double direct_miss_probability(int n, int K) {
+  if (n < K) return 1.0;
+  if (K == 1) return 0.0;
+  double p = 0.0;
+  for (int j = 1; j < K; ++j) {
+    const double term =
+        binomial(static_cast<unsigned>(K), static_cast<unsigned>(j)) *
+        std::pow(1.0 - static_cast<double>(j) / K, n);
+    p += (j % 2 == 1) ? term : -term;
+  }
+  return std::min(1.0, std::max(0.0, p));
+}
+
+TEST(StoppingPoints, TableEqualsTheDirectFormula) {
+  for (const int branching : {30, 13}) {
+    const auto sp = StoppingPoints::for_global(0.05, branching);
+    int n = 1;
+    for (int k = 1; k <= 256; ++k) {
+      while (direct_miss_probability(n, k + 1) > sp.epsilon()) ++n;
+      ASSERT_EQ(sp.n(k), n) << "B=" << branching << " k=" << k;
+      ASSERT_EQ(StoppingPoints::miss_probability(n, k + 1),
+                direct_miss_probability(n, k + 1));
+    }
+  }
+}
+
+/// P(n, K) in log space: no coefficient overflows at any K, so this is
+/// the reference where binomial(K, j) itself overflows (K >~ 1020).
+double log_space_miss_probability(int n, int K) {
+  double p = 0.0;
+  for (int j = 1; j < K; ++j) {
+    const double term =
+        std::exp(std::lgamma(K + 1.0) - std::lgamma(j + 1.0) -
+                 std::lgamma(K - j + 1.0) +
+                 n * std::log1p(-static_cast<double>(j) / K));
+    p += (j % 2 == 1) ? term : -term;
+  }
+  return p;
+}
+
+TEST(StoppingPoints, LastStoredValueMeetsTheBoundExactly) {
+  // n_1023 is the first n whose miss probability for 1024 successors is
+  // within epsilon. When the coefficients overflowed, P read 0 there and
+  // n_k stopped growing (n_1023 == n_1022 == 13559 < n_1000 + 272).
+  const auto sp = StoppingPoints::for_global(0.05, 30);
+  const int n = sp.n(1023);
+  EXPECT_LE(log_space_miss_probability(n, 1024), sp.epsilon());
+  EXPECT_GT(log_space_miss_probability(n - 1, 1024), sp.epsilon());
+  EXPECT_GT(n, sp.n(1022));
 }
 
 TEST(StoppingPoints, ConcurrentFirstCallsOnFreshInstancesAgree) {

@@ -10,7 +10,9 @@ namespace mmlpt::core {
 namespace {
 
 TEST(TraceJson, GraphExportContainsAddressesAndEdges) {
-  const auto json = graph_to_json(topo::simplest_diamond());
+  TraceResult result;
+  result.graph = topo::simplest_diamond();
+  const auto json = trace_to_json(result);
   EXPECT_NE(json.find("\"hop_count\":3"), std::string::npos);
   EXPECT_NE(json.find("\"vertex_count\":4"), std::string::npos);
   EXPECT_NE(json.find("\"10.1.0.0\""), std::string::npos);
@@ -21,7 +23,9 @@ TEST(TraceJson, StarsExportAsNull) {
   topo::MultipathGraph g;
   g.add_hop();
   (void)g.add_vertex(0, {});
-  const auto json = graph_to_json(g);
+  TraceResult result;
+  result.graph = g;
+  const auto json = trace_to_json(result);
   EXPECT_NE(json.find("\"addr\":null"), std::string::npos);
 }
 

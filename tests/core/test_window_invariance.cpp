@@ -164,9 +164,9 @@ TEST(WindowInvariance, WindowedTraceComposesWithThrottledNetwork) {
   orchestrator::ThrottledNetwork throttled(network, limiter);
   TraceConfig windowed;
   windowed.window = 16;
-  const auto result = run_trace_with_network(
-      throttled, truth.source, truth.destination, Algorithm::kMdaLite,
-      windowed);
+  probe::ProbeEngine engine(throttled, {.source = truth.source,
+                                        .destination = truth.destination});
+  const auto result = run_tracer(engine, Algorithm::kMdaLite, windowed);
   EXPECT_EQ(trace_to_json(result), baseline);
 }
 

@@ -470,11 +470,18 @@ TEST(DaemonE2E, StopSetSummaryTravelsOverTheSocket) {
   spec.shared_prefix = 3;  // common first hops: the stop set pays off
   const auto result = client.run_job(spec);
   EXPECT_EQ(result.outcome, JobOutcome::kOk);
-  EXPECT_NE(result.stop_set_summary.find("stop-set visible_hops="),
+  // The same object as the "stop_set" of mmlpt_fleet's summary line; the
+  // cache starts empty, so consulting it saved nothing.
+  const auto& summary = result.stop_set_summary;
+  EXPECT_TRUE(summary.starts_with(R"({"consulted":true,"visible_hops":)"))
+      << summary;
+  EXPECT_NE(summary.find(R"("probes_saved":0,"traces_stopped":0,)"
+                         R"("union_digest":")"),
             std::string::npos)
-      << result.stop_set_summary;
-  EXPECT_NE(result.stop_set_summary.find("union_digest="),
-            std::string::npos);
+      << summary;
+  EXPECT_EQ(summary.size() - summary.rfind(R"("union_digest":")"),
+            std::string(R"("union_digest":"0123456789abcdef"})").size())
+      << summary;
 
   daemon.stop();
   std::remove(cache.c_str());

@@ -168,7 +168,8 @@ TEST(PayloadCodec, ProgressAndResultLineAndSummaryRoundTrip) {
   EXPECT_EQ(l.job_id, 9u);
   EXPECT_EQ(l.line, line.line);
 
-  const StopSetSummary summary{3, "stop-set visible_hops=10"};
+  const StopSetSummary summary{
+      3, R"({"consulted":true,"visible_hops":10,"union_digest":"00ff"})"};
   const auto s = decode_stop_set_summary(encode_stop_set_summary(summary));
   EXPECT_EQ(s.job_id, 3u);
   EXPECT_EQ(s.text, summary.text);

@@ -46,8 +46,10 @@ TEST(RawSocketTrace, LoopbackMdaLiteIsExactAndWindowInvariant) {
     }
     core::TraceConfig config;
     config.window = windows[i];
-    traces[i].result = core::run_trace_with_network(
-        *network, source, destination, core::Algorithm::kMdaLite, config);
+    probe::ProbeEngine engine(
+        *network, {.source = source, .destination = destination});
+    traces[i].result =
+        core::run_tracer(engine, core::Algorithm::kMdaLite, config);
     traces[i].probes_sent =
         registry
             .counter("mmlpt_transport_probes_sent_total", "",

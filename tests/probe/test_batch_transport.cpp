@@ -241,8 +241,9 @@ TEST(ThrottledNetwork, ThrottledTraceIsBitIdenticalToUnthrottled) {
   SimulatedNetwork network(simulator);
   orchestrator::RateLimiter limiter(1e9, 1 << 20);
   orchestrator::ThrottledNetwork throttled(network, limiter);
-  const auto gated = core::run_trace_with_network(
-      throttled, truth.source, truth.destination, core::Algorithm::kMda, {});
+  ProbeEngine engine(throttled, {.source = truth.source,
+                                 .destination = truth.destination});
+  const auto gated = core::run_tracer(engine, core::Algorithm::kMda, {});
 
   EXPECT_EQ(gated.packets, plain.packets);
   EXPECT_TRUE(topo::same_topology(gated.graph, plain.graph));

@@ -1,15 +1,17 @@
-// The shared CLI helpers in tools/cli_common.h: usage blocks rendered
-// from one option table (so the three tools cannot drift), the stop-set
-// flag-pair validation, and the unknown-flag check derived from usage
-// text.
+// The CLI front end in tools/cli_common.{h,cpp}: every tool's usage
+// rendered from the option tables (one row per flag, so the tools cannot
+// drift), the flag parsers and their validation, the entry point, and
+// the unknown-flag check derived from usage text.
 #include "cli_common.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -56,12 +58,39 @@ TEST(FormatOptionBlock, WideFlagDropsHelpToTheNextLine) {
   EXPECT_EQ(block, "  --a-very-long-flag NAME\n" + indent + "does a thing\n");
 }
 
+constexpr Tool kTools[] = {Tool::kTrace, Tool::kSurvey, Tool::kFleet,
+                           Tool::kClient, Tool::kDaemon};
+
+/// The option rows of a usage text: each row's first line plus its
+/// continuation lines (indented to the help column), keyed by the row's
+/// first long flag.
+std::vector<std::pair<std::string, std::string>> option_rows(
+    const std::string& usage) {
+  std::vector<std::pair<std::string, std::string>> rows;
+  const std::string continuation(kUsageHelpColumn, ' ');
+  std::size_t at = 0;
+  for (auto end = usage.find('\n'); end != std::string::npos;
+       end = usage.find('\n', at)) {
+    const auto line = usage.substr(at, end - at + 1);
+    at = end + 1;
+    if (line.starts_with("  -")) {
+      const auto names = usage_flag_names(line);
+      rows.emplace_back(names.empty() ? "" : *names.begin(), line);
+    } else if (line.starts_with(continuation) && !rows.empty()) {
+      rows.back().second += line;
+    }
+  }
+  return rows;
+}
+
 TEST(UsageBlocks, FleetUsageListsEveryFlagExactlyOnce) {
   // Match the flag column only ("\n  --flag"): help text legitimately
   // cross-references other flags.
-  const auto usage = "\n" + fleet_options_usage();
+  const auto usage = "\n" + usage_text(Tool::kFleet);
   for (const char* flag :
-       {"--jobs", "--window", "--pps", "--burst", "--fsync",
+       {"--destinations", "--routes", "-6 | --family", "--algorithm",
+        "--distinct", "--shared-prefix", "--seed", "--output", "--version",
+        "--jobs", "--window", "--pps", "--burst", "--fsync",
         "--topology-cache", "--stop-set", "--metrics-out",
         "--trace-events"}) {
     const auto entry = std::string("\n  ") + flag;
@@ -70,10 +99,71 @@ TEST(UsageBlocks, FleetUsageListsEveryFlagExactlyOnce) {
     EXPECT_EQ(usage.find(entry, first + 1), std::string::npos)
         << flag << " documented twice";
   }
-  // The trace-only blocks are the stop-set + observability tail of the
-  // fleet block.
-  const auto tail = stop_set_options_usage() + obs_options_usage();
-  EXPECT_EQ(usage.substr(usage.size() - tail.size()), tail);
+}
+
+TEST(UsageBlocks, EveryToolDocumentsEachFlagInOneRow) {
+  for (const auto tool : kTools) {
+    std::multiset<std::string> names;
+    for (const auto& [flag, row] : option_rows(usage_text(tool))) {
+      for (const auto& name : usage_flag_names(row)) names.insert(name);
+    }
+    for (const auto& name : names) {
+      EXPECT_EQ(names.count(name), 1u) << tool_name(tool) << " --" << name;
+    }
+    EXPECT_EQ(std::set<std::string>(names.begin(), names.end()),
+              usage_flag_names(usage_text(tool)));
+  }
+}
+
+TEST(UsageBlocks, SharedRowsAreByteEqualInEveryTool) {
+  // Only --socket means two things: listen (mmlptd) or connect (client).
+  std::map<std::string, std::pair<std::string, const char*>> first_seen;
+  int shared = 0;
+  for (const auto tool : kTools) {
+    for (const auto& [flag, row] : option_rows(usage_text(tool))) {
+      if (flag == "socket") continue;
+      const auto [it, fresh] =
+          first_seen.try_emplace(flag, row, tool_name(tool));
+      if (fresh) continue;
+      ++shared;
+      EXPECT_EQ(row, it->second.first)
+          << "--" << flag << " in " << tool_name(tool) << " differs from "
+          << it->second.second;
+    }
+  }
+  // --family, --seed, --window and --version alone appear 14 more times.
+  EXPECT_GE(shared, 14);
+}
+
+TEST(UsageBlocks, EveryToolAcceptsItsOptionSet) {
+  const std::set<std::string> job_spec = {
+      "destinations", "routes", "family", "algorithm", "distinct",
+      "shared-prefix", "seed", "window", "version"};
+  const std::set<std::string> fleet = {
+      "jobs", "window", "pps", "burst", "fsync", "topology-cache",
+      "stop-set", "version"};
+  const auto with = [](std::set<std::string> base,
+                       std::initializer_list<const char*> more) {
+    base.insert(more.begin(), more.end());
+    return base;
+  };
+  EXPECT_EQ(usage_flag_names(usage_text(Tool::kTrace)),
+            (std::set<std::string>{
+                "family", "algorithm", "alpha", "branching", "phi",
+                "builtin", "topology", "generate", "multilevel", "rounds",
+                "json", "seed", "real", "destination", "source", "window",
+                "topology-cache", "stop-set", "metrics-out", "trace-events",
+                "version"}));
+  EXPECT_EQ(usage_flag_names(usage_text(Tool::kSurvey)),
+            with(fleet, {"mode", "family", "routes", "pairs", "distinct",
+                         "rounds", "seed", "output", "metrics-out",
+                         "trace-events"}));
+  EXPECT_EQ(usage_flag_names(usage_text(Tool::kClient)),
+            with(job_spec, {"socket", "tenant", "output", "status",
+                            "metrics", "cancel-after-lines"}));
+  EXPECT_EQ(usage_flag_names(usage_text(Tool::kDaemon)),
+            with(fleet, {"socket", "max-jobs", "max-jobs-per-tenant",
+                         "tenant-pps", "tenant-burst"}));
 }
 
 TEST(UnknownFlags, OnlyOptionRowsDefineTheAcceptedSet) {
@@ -97,10 +187,12 @@ TEST(UnknownFlags, OnlyOptionRowsDefineTheAcceptedSet) {
 TEST(UnknownFlags, FleetBlockAcceptsExactlyItsDocumentedFlags) {
   // No tool takes --transport; the smoke tests cover the retired flags
   // end to end.
-  EXPECT_EQ(usage_flag_names(fleet_options_usage()),
-            (std::set<std::string>{"burst", "fsync", "jobs", "metrics-out",
-                                   "pps", "stop-set", "topology-cache",
-                                   "trace-events", "window"}));
+  EXPECT_EQ(usage_flag_names(usage_text(Tool::kFleet)),
+            (std::set<std::string>{
+                "algorithm", "burst", "destinations", "distinct", "family",
+                "fsync", "jobs", "metrics-out", "output", "pps", "routes",
+                "seed", "shared-prefix", "stop-set", "topology-cache",
+                "trace-events", "version", "window"}));
 }
 
 TEST(UnknownFlags, RejectionPrintsTheFlagAndTheUsage) {
@@ -115,6 +207,81 @@ TEST(UnknownFlags, RejectionPrintsTheFlagAndTheUsage) {
             "tool: unknown flag --bogus-flag\n"
             "tool: unknown flag --family\n\n" +
                 usage);
+}
+
+/// cli_main over `args` (argv[0] is supplied).
+int run_main(Tool tool, std::vector<std::string> args,
+             int (*run)(const Flags&)) {
+  std::vector<char*> argv;
+  argv.push_back(const_cast<char*>("test"));
+  for (auto& arg : args) argv.push_back(arg.data());
+  return cli_main(tool, static_cast<int>(argv.size()), argv.data(), run);
+}
+
+int run_returns_seven(const Flags&) { return 7; }
+int run_throws(const Flags&) { throw ConfigError("--phi must be >= 2"); }
+
+TEST(CliMain, HelpThenUnknownFlagsThenVersionThenRun) {
+  testing::internal::CaptureStdout();
+  EXPECT_EQ(run_main(Tool::kClient, {"--help", "--routse", "5"}, run_throws),
+            0);
+  EXPECT_EQ(testing::internal::GetCapturedStdout(),
+            usage_text(Tool::kClient));
+
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run_main(Tool::kClient, {"--routse", "5", "--version"},
+                     run_throws),
+            kUsageErrorExit);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "mmlpt_client: unknown flag --routse\n\n" +
+                usage_text(Tool::kClient));
+
+  testing::internal::CaptureStdout();
+  EXPECT_EQ(run_main(Tool::kDaemon, {"--version"}, run_throws), 0);
+  EXPECT_TRUE(testing::internal::GetCapturedStdout().starts_with("mmlptd "));
+
+  EXPECT_EQ(run_main(Tool::kFleet, {"--routes", "3"}, run_returns_seven), 7);
+}
+
+TEST(CliMain, AnExceptionIsOneLineNamingTheToolAndExitOne) {
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run_main(Tool::kTrace, {"--phi", "1"}, run_throws), 1);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "mmlpt_trace: --phi must be >= 2\n");
+}
+
+TEST(TracerFlags, OutOfRangeValuesNameTheFlag) {
+  const auto message = [](std::vector<std::string> args) -> std::string {
+    try {
+      (void)parse_trace_config(make_flags(std::move(args)));
+    } catch (const ConfigError& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(message({"--phi", "1"}), "--phi must be >= 2");
+  EXPECT_EQ(message({"--alpha", "1.5"}), "--alpha must be in (0, 1)");
+  EXPECT_EQ(message({"--alpha", "0"}), "--alpha must be in (0, 1)");
+  EXPECT_EQ(message({"--branching", "0"}), "--branching must be >= 1");
+  EXPECT_EQ(message({"--window", "0"}), "--window must be >= 1");
+  EXPECT_EQ(message({"--alpha", "0.1", "--branching", "5", "--phi", "3"}),
+            "accepted");
+  const auto config = parse_trace_config(make_flags({}));
+  EXPECT_EQ(config.alpha, core::TraceConfig{}.alpha);
+  EXPECT_EQ(config.max_branching, core::TraceConfig{}.max_branching);
+  EXPECT_EQ(config.phi, core::TraceConfig{}.phi);
+}
+
+TEST(TracerFlags, RoundsAndDistinctAreRangeChecked) {
+  EXPECT_EQ(parse_rounds(make_flags({})), 10);
+  EXPECT_EQ(parse_rounds(make_flags({"--rounds", "0"})), 0);
+  EXPECT_THROW((void)parse_rounds(make_flags({"--rounds", "-1"})),
+               ConfigError);
+  EXPECT_EQ(parse_distinct(make_flags({}), 80), 80u);
+  EXPECT_THROW((void)parse_distinct(make_flags({"--distinct", "0"}), 80),
+               ConfigError);
+  EXPECT_THROW((void)parse_job_spec(make_flags({"--distinct", "0"})),
+               ConfigError);
 }
 
 TEST(StopSetOptionsParsing, DefaultsToFeatureOff) {
@@ -260,21 +427,20 @@ TEST(ParseDaemonOptions, RejectsOutOfRangeValues) {
 
 TEST(UsageBlocks, DaemonAndClientBlocksListEveryFlagExactlyOnce) {
   const struct {
-    std::string usage;
+    Tool tool;
     std::vector<const char*> flags;
   } blocks[] = {
-      {job_spec_options_usage(),
-       {"--destinations", "--routes", "-6 | --family", "--algorithm",
-        "--distinct", "--shared-prefix", "--seed", "--window"}},
-      {daemon_options_usage(),
+      {Tool::kDaemon,
        {"--socket", "--max-jobs N", "--max-jobs-per-tenant", "--tenant-pps",
-        "--tenant-burst"}},
-      {client_options_usage(),
+        "--tenant-burst", "--jobs", "--window", "--version"}},
+      {Tool::kClient,
        {"--socket", "--tenant", "--output", "--status", "--metrics",
-        "--cancel-after-lines"}},
+        "--cancel-after-lines", "--destinations", "--routes",
+        "-6 | --family", "--algorithm", "--distinct", "--shared-prefix",
+        "--seed", "--window", "--version"}},
   };
   for (const auto& block : blocks) {
-    const auto usage = "\n" + block.usage;
+    const auto usage = "\n" + usage_text(block.tool);
     for (const char* flag : block.flags) {
       const auto entry = std::string("\n  ") + flag;
       const auto first = usage.find(entry);

@@ -12,10 +12,14 @@ Checked invariants:
      Label keys used at registration sites stay within the small
      vocabulary the dashboards key on.
 
-  2. CLI option tables (tools/cli_common.h): within each
-     *_option_table() the long flag names are unique, and every flag a
-     table documents is actually consumed by a Flags parse call
-     somewhere under tools/ — usage text and parser cannot drift apart.
+  2. CLI option tables (tools/cli_common.cpp): every long flag has its
+     row in exactly one *_option_table() (--socket alone has two: mmlptd
+     listens on it, mmlpt_client connects to it), every flag a table
+     documents is consumed by a Flags parse call somewhere under tools/,
+     and no tools/*.cpp holds a literal option row (a string literal
+     opening with "  --x" or "  -6"): every usage row comes from a table, so usage
+     text and parser cannot drift apart and a flag reads the same in
+     every tool.
 
   3. Frame-type completeness: the FrameType enumerators in
      src/daemon/protocol.h and the cases of is_known_frame_type() in
@@ -131,8 +135,13 @@ PARSE_CALL = re.compile(
 )
 
 
+# Flags that mean different things in different tools, one row each.
+PER_TOOL_FLAGS = {"socket"}
+LITERAL_OPTION_ROW = re.compile(r'"  -(?:-[a-z]|[0-9])')
+
+
 def check_option_tables() -> None:
-    cli_common = REPO / "tools" / "cli_common.h"
+    cli_common = REPO / "tools" / "cli_common.cpp"
     text = cli_common.read_text()
 
     parsed_flags: set[str] = set()
@@ -145,8 +154,8 @@ def check_option_tables() -> None:
                   "found no *_option_table() definitions — the parser "
                   "in this linter needs updating")
         return
+    seen: dict[str, tuple[str, int]] = {}
     for table_name, body in tables:
-        seen: dict[str, int] = {}
         offset = text.find(body)
         for entry in TABLE_ENTRY.finditer(body):
             spec = entry.group(1)
@@ -158,15 +167,24 @@ def check_option_tables() -> None:
                           "--long-flag")
                 continue
             for flag in flags:
-                if flag in seen:
+                first = seen.get(flag)
+                if first and (first[0] == table_name
+                              or flag not in PER_TOOL_FLAGS):
                     violation(cli_common, at, "option-tables",
-                              f"{table_name}: --{flag} documented twice "
-                              f"(first at line {seen[flag]})")
-                seen[flag] = at
+                              f"{table_name}: --{flag} already has a row "
+                              f"in {first[0]} (line {first[1]})")
+                seen.setdefault(flag, (table_name, at))
                 if flag not in parsed_flags:
                     violation(cli_common, at, "option-tables",
                               f"{table_name}: --{flag} is documented but "
                               "no Flags::get*/has call consumes it")
+
+    for path in source_files("tools", suffixes=(".cpp",)):
+        source = path.read_text()
+        for match in LITERAL_OPTION_ROW.finditer(source):
+            violation(path, line_of(source, match.start()), "option-tables",
+                      "literal option row: add an OptionSpec to a "
+                      "*_option_table() in tools/cli_common.cpp instead")
 
 
 # ---- 3. frame-type completeness ----------------------------------------

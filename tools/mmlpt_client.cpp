@@ -20,33 +20,6 @@ using namespace mmlpt;
 
 namespace {
 
-constexpr const char kUsagePrefix[] =
-    "usage: mmlpt_client --socket PATH [options]\n"
-    "\n"
-    "  mmlpt_client --socket /tmp/mmlptd.sock --routes 64 --seed 7\n"
-    "  mmlpt_client --socket /tmp/mmlptd.sock --status\n"
-    "  mmlpt_client --socket /tmp/mmlptd.sock --metrics\n"
-    "\n"
-    "Submits one trace job to a running mmlptd and streams the JSONL\n"
-    "result lines — byte-identical to `mmlpt_fleet --jobs 1` with the\n"
-    "same job flags, but without owning a probing stack.\n"
-    "\n"
-    "options:\n";
-constexpr const char kUsageSuffix[] =
-    "  --version            print version and exit\n"
-    "\n"
-    "A summary line (outcome, lines, packets) goes to stderr; when the\n"
-    "daemon runs a stop set, its machine-parsable stop-set summary is\n"
-    "forwarded to stderr too. SIGINT cancels the in-flight job and exits\n"
-    "130 once the daemon confirms the cancellation.\n";
-
-void print_usage() {
-  std::fputs(kUsagePrefix, stdout);
-  std::fputs(tools::client_options_usage().c_str(), stdout);
-  std::fputs(tools::job_spec_options_usage().c_str(), stdout);
-  std::fputs(kUsageSuffix, stdout);
-}
-
 const char* outcome_name(daemon::JobOutcome outcome) {
   switch (outcome) {
     case daemon::JobOutcome::kOk:
@@ -129,16 +102,5 @@ int run_client(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    const Flags flags(argc, argv);
-    if (flags.has("help")) {
-      print_usage();
-      return 0;
-    }
-    if (tools::handle_version(flags, "mmlpt_client")) return 0;
-    return run_client(flags);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "mmlpt_client: %s\n", e.what());
-    return 1;
-  }
+  return tools::cli_main(tools::Tool::kClient, argc, argv, run_client);
 }

@@ -16,12 +16,10 @@
 // fsynced under --fsync), the stop set is written, and the process exits
 // 128+signal.
 #include <chrono>
-#include <cstdio>
 #include <iostream>
 #include <string>
 
 #include "cli_common.h"
-#include "common/error.h"
 #include "common/flags.h"
 #include "daemon/fleet_job.h"
 #include "orchestrator/fleet.h"
@@ -31,47 +29,6 @@
 using namespace mmlpt;
 
 namespace {
-
-constexpr const char kUsagePrefix[] =
-    "usage: mmlpt_fleet [options]\n"
-    "\n"
-    "  mmlpt_fleet --routes 64 --jobs 8                 # 8-worker fleet\n"
-    "  mmlpt_fleet --destinations dests.txt --jobs 8 --pps 500 \\\n"
-    "              --output traces.jsonl --fsync\n"
-    "\n"
-    "Traces N destinations concurrently over the Fakeroute simulator and\n"
-    "streams one JSON line per destination, in destination order:\n"
-    "  {\"index\":i,\"destination\":\"a.b.c.d\",\"trace\":{...}}\n"
-    "\n"
-    "options:\n"
-    "  --destinations FILE  one label per line (e.g. an IPv4 address); each\n"
-    "                       line becomes one destination task, labelled with\n"
-    "                       that string. Without it, --routes synthetic\n"
-    "                       destinations are generated.\n"
-    "  --routes N           destination count when no --destinations (64)\n"
-    "  -6 | --family 4|6    address family of the synthetic world\n"
-    "                       (default IPv4; v6 Paris probes vary only the\n"
-    "                       flow label)\n";
-constexpr const char kUsageSuffix[] =
-    "  --algorithm A        mda | mda-lite | single-flow (default mda-lite)\n"
-    "  --distinct N         distinct diamond templates in the world (100)\n"
-    "  --shared-prefix N    every synthetic route starts with the same N\n"
-    "                       leading routers (one vantage point, common\n"
-    "                       first hops — the topology where the stop set\n"
-    "                       pays off). Default 0 = fully random prefixes\n"
-    "  --seed N             world + trace seed (default 1)\n"
-    "  --output FILE        JSONL destination (default stdout)\n"
-    "  --version            print version and exit\n"
-    "\n"
-    "One machine-parsable JSON summary line goes to stderr when done:\n"
-    "  {\"tool\":\"mmlpt_fleet\",\"destinations\":..,\"packets\":..,\n"
-    "   \"stop_set\":{..,\"union_digest\":\"..\"},\"metrics\":{..}}\n"
-    "The stop_set object appears with --topology-cache; the metrics\n"
-    "object lists the run's non-zero counters from the registry.\n";
-
-std::string usage_text() {
-  return kUsagePrefix + tools::fleet_options_usage() + kUsageSuffix;
-}
 
 int run_fleet(const Flags& flags) {
   const auto spec = tools::parse_job_spec(flags);  // throws on empty list
@@ -133,20 +90,5 @@ int run_fleet(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    const Flags flags(argc, argv);
-    const auto usage = usage_text();
-    if (flags.has("help")) {
-      std::fputs(usage.c_str(), stdout);
-      return 0;
-    }
-    if (tools::reject_unknown_flags(flags, usage, "mmlpt_fleet")) {
-      return tools::kUsageErrorExit;
-    }
-    if (tools::handle_version(flags, "mmlpt_fleet")) return 0;
-    return run_fleet(flags);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "mmlpt_fleet: %s\n", e.what());
-    return 1;
-  }
+  return tools::cli_main(tools::Tool::kFleet, argc, argv, run_fleet);
 }

@@ -3,8 +3,7 @@
 // Sec. 2.4.2 five-variant evaluation, or the Sec. 5.2 router-level
 // survey.
 //
-// See kUsage below (printed by --help) for invocation examples and the
-// option list.
+// `mmlpt_survey --help` lists invocation examples and the options.
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -23,33 +22,6 @@ using namespace mmlpt;
 
 namespace {
 
-constexpr const char kUsagePrefix[] =
-    "usage: mmlpt_survey [options]\n"
-    "\n"
-    "  mmlpt_survey --mode ip --routes 1000        # Sec. 5.1 IP survey\n"
-    "  mmlpt_survey --mode evaluation --pairs 500  # Sec. 2.4.2 variants\n"
-    "  mmlpt_survey --mode router --routes 200 --rounds 10  # Sec. 5.2\n"
-    "\n"
-    "options:\n"
-    "  --mode ip|evaluation|router   (default ip)\n"
-    "  -6 | --family 4|6             address family of the generated\n"
-    "                                world (default IPv4; router mode\n"
-    "                                alias sets are v4-only)\n"
-    "  --routes N                    routes to trace (ip/router modes)\n"
-    "  --pairs N                     source/destination pairs (evaluation)\n"
-    "  --distinct N                  distinct diamonds to collect\n"
-    "  --rounds N                    alias-resolution rounds (router mode)\n"
-    "  --seed N                      simulator seed\n"
-    "  --output FILE                 stream one JSON line per destination\n"
-    "                                to FILE while the survey runs\n"
-    "  --version                     print version and exit\n"
-    "\n"
-    "fleet options (ip/router modes):\n";
-
-std::string usage_text() {
-  return kUsagePrefix + tools::fleet_options_usage();
-}
-
 void emit_histogram(JsonWriter& w, const Histogram& h) {
   w.begin_object();
   for (const auto& [key, count] : h.bins()) {
@@ -59,34 +31,11 @@ void emit_histogram(JsonWriter& w, const Histogram& h) {
   w.end_object();
 }
 
-/// The "stop_set" summary object — only emitted when a topology cache is
-/// in use, so default output stays byte-stable.
-void emit_stop_set_summary(JsonWriter& w,
-                           const orchestrator::StopSetSession& session,
-                           std::uint64_t probes_saved,
-                           std::uint64_t traces_stopped) {
-  const auto* set = session.stop_set();
-  if (set == nullptr) return;
-  w.key("stop_set");
-  w.begin_object();
-  w.key("consulted");
-  w.value(session.consult());
-  w.key("visible_hops");
-  w.value(static_cast<std::uint64_t>(set->visible_hop_count()));
-  w.key("pending_hops");
-  w.value(static_cast<std::uint64_t>(set->pending_hop_count()));
-  w.key("probes_saved_by_stop_set");
-  w.value(probes_saved);
-  w.key("traces_stopped");
-  w.value(traces_stopped);
-  w.end_object();
-}
-
 /// Run one fleet survey (ip or router mode) with the plumbing both modes
 /// share: the fleet, stop-set and observability flags, --output, the
 /// interrupt path and the stderr summary line. `run(config, sink)` runs
 /// the survey; the stdout report gets the common head (mode, transport,
-/// routes) and then whatever `report(result, stop_set_session)` writes.
+/// routes) and then whatever `report(result)` writes.
 /// `trace` is `config`'s trace configuration. Returns the exit code.
 template <typename Config, typename Run, typename Report>
 int run_fleet_survey(const Flags& flags, const char* mode, Config& config,
@@ -131,7 +80,7 @@ int run_fleet_survey(const Flags& flags, const char* mode, Config& config,
   w.value("sim");
   w.key("routes");
   w.value(result.routes_traced);
-  report(result, stop_set_session);
+  report(result);
   w.end_object();
   return 0;
 }
@@ -140,19 +89,15 @@ int run_ip(const Flags& flags, JsonWriter& w) {
   survey::IpSurveyConfig config;
   config.generator.family = tools::parse_family(flags);
   config.routes = flags.get_uint("routes", 500);
-  config.distinct_diamonds = flags.get_uint("distinct", 200);
+  config.distinct_diamonds = tools::parse_distinct(flags, 200);
   config.seed = flags.get_uint("seed", 1);
   return run_fleet_survey(
       flags, "ip_survey", config, config.trace, w, &survey::run_ip_survey,
-      [&](const survey::IpSurveyResult& result,
-          const orchestrator::StopSetSession& stop_set_session) {
+      [&](const survey::IpSurveyResult& result) {
         w.key("routes_with_diamonds");
         w.value(result.routes_with_diamonds);
         w.key("total_packets");
         w.value(result.total_packets);
-        emit_stop_set_summary(w, stop_set_session,
-                              result.probes_saved_by_stop_set,
-                              result.traces_stopped);
         for (const auto side : {"measured", "distinct"}) {
           const auto& d = side == std::string("measured")
                               ? result.accounting.measured()
@@ -193,7 +138,7 @@ int run_evaluation(const Flags& flags, JsonWriter& w) {
   }
   survey::EvaluationConfig config;
   config.pairs = flags.get_uint("pairs", 300);
-  config.distinct_diamonds = flags.get_uint("distinct", 200);
+  config.distinct_diamonds = tools::parse_distinct(flags, 200);
   config.seed = flags.get_uint("seed", 1);
   const auto result = survey::run_evaluation(config);
 
@@ -226,19 +171,15 @@ int run_router(const Flags& flags, JsonWriter& w) {
   survey::RouterSurveyConfig config;
   config.generator.family = tools::parse_family(flags);
   config.routes = flags.get_uint("routes", 150);
-  config.distinct_diamonds = flags.get_uint("distinct", 80);
-  config.multilevel.rounds = static_cast<int>(flags.get_int("rounds", 10));
+  config.distinct_diamonds = tools::parse_distinct(flags, 80);
+  config.multilevel.rounds = tools::parse_rounds(flags);
   config.seed = flags.get_uint("seed", 1);
   return run_fleet_survey(
       flags, "router_survey", config, config.multilevel.trace, w,
       &survey::run_router_survey,
-      [&](const survey::RouterSurveyResult& result,
-          const orchestrator::StopSetSession& stop_set_session) {
+      [&](const survey::RouterSurveyResult& result) {
         w.key("unique_diamonds");
         w.value(result.unique_diamonds);
-        emit_stop_set_summary(w, stop_set_session,
-                              result.probes_saved_by_stop_set,
-                              result.traces_stopped);
         w.key("resolution");
         w.begin_object();
         w.key("no_change");
@@ -259,38 +200,26 @@ int run_router(const Flags& flags, JsonWriter& w) {
       });
 }
 
+int run_survey(const Flags& flags) {
+  const auto mode = flags.get("mode", "ip");
+  JsonWriter w;
+  int rc = 0;
+  if (mode == "ip") {
+    rc = run_ip(flags, w);
+  } else if (mode == "evaluation") {
+    rc = run_evaluation(flags, w);
+  } else if (mode == "router") {
+    rc = run_router(flags, w);
+  } else {
+    throw ConfigError("unknown --mode (ip|evaluation|router): " + mode);
+  }
+  // An interrupted survey (rc = 128+signal) has no report to print.
+  if (rc == 0) std::printf("%s\n", w.view().c_str());
+  return rc;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    const Flags flags(argc, argv);
-    const auto usage = usage_text();
-    if (flags.has("help")) {
-      std::fputs(usage.c_str(), stdout);
-      return 0;
-    }
-    if (tools::reject_unknown_flags(flags, usage, "mmlpt_survey")) {
-      return tools::kUsageErrorExit;
-    }
-    if (tools::handle_version(flags, "mmlpt_survey")) return 0;
-    const auto mode = flags.get("mode", "ip");
-    JsonWriter w;
-    int rc = 0;
-    if (mode == "ip") {
-      rc = run_ip(flags, w);
-    } else if (mode == "evaluation") {
-      rc = run_evaluation(flags, w);
-    } else if (mode == "router") {
-      rc = run_router(flags, w);
-    } else {
-      std::fprintf(stderr, "unknown --mode (ip|evaluation|router)\n");
-      return 1;
-    }
-    // An interrupted survey (rc = 128+signal) has no report to print.
-    if (rc == 0) std::printf("%s\n", w.view().c_str());
-    return rc;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "mmlpt_survey: %s\n", e.what());
-    return 1;
-  }
+  return tools::cli_main(tools::Tool::kSurvey, argc, argv, run_survey);
 }

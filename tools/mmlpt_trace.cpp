@@ -5,8 +5,7 @@
 // with --multilevel, resolves which interfaces belong to one router
 // while tracing.
 //
-// See kUsage below (printed by --help) for the invocation examples and
-// the full option list.
+// `mmlpt_trace --help` lists invocation examples and the options.
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -29,53 +28,6 @@
 using namespace mmlpt;
 
 namespace {
-
-constexpr const char kUsage[] =
-    "usage: mmlpt_trace [options]\n"
-    "\n"
-    "  mmlpt_trace --builtin fig1                 # simulated reference "
-    "diamond\n"
-    "  mmlpt_trace --topology net.topo --json     # topology file, JSON "
-    "output\n"
-    "  mmlpt_trace --generate --seed 9 --multilevel --rounds 10\n"
-    "  mmlpt_trace -6 --builtin fig1 --json       # IPv6 (flow-label "
-    "Paris)\n"
-    "  sudo mmlpt_trace --real --destination 93.184.216.34   # raw sockets\n"
-    "\n"
-    "options:\n"
-    "  -6 | --family 4|6             address family (default IPv4). On\n"
-    "                                IPv6 the Paris flow identifier is\n"
-    "                                the 20-bit flow label; alias\n"
-    "                                resolution reports\n"
-    "                                \"unsupported-family\" (no IP-ID)\n"
-    "  --algorithm mda|lite|single   (default lite)\n"
-    "  --alpha A --branching B       failure bound (default 0.05 / 30)\n"
-    "  --phi N                       MDA-Lite meshing-test effort (default "
-    "2)\n"
-    "  --window N                    in-flight probe window per batched\n"
-    "                                round trip (default 1 = serial; the\n"
-    "                                topology, packet counts and JSON are\n"
-    "                                identical for every N — larger windows\n"
-    "                                only collapse RTT waits)\n"
-    "  --builtin NAME                simplest fig1 fig1-meshed wide\n"
-    "                                symmetric asymmetric meshed\n"
-    "  --topology FILE               trace a .topo file in the simulator\n"
-    "  --generate                    trace a generated random route\n"
-    "  --multilevel [--rounds N]     alias resolution while tracing\n"
-    "  --json                        machine-readable output\n"
-    "  --seed N                      simulator / generator seed\n"
-    "  --real --destination IP       raw sockets (needs CAP_NET_RAW)\n"
-    "  --source IP                   source address for --real (default:\n"
-    "                                the one the route to --destination\n"
-    "                                uses)\n";
-
-constexpr const char kUsageSuffix[] =
-    "  --version            print version and exit\n";
-
-std::string usage_text() {
-  return kUsage + tools::stop_set_options_usage() +
-         tools::obs_options_usage() + kUsageSuffix;
-}
 
 topo::MultipathGraph builtin_topology(const std::string& name) {
   if (name == "simplest") return topo::simplest_diamond();
@@ -171,37 +123,15 @@ void print_text_multilevel(const core::MultilevelResult& result) {
 }
 
 int run(const Flags& flags) {
-  const auto usage = usage_text();
-  // has(), not get_bool(): "--help <positional>" must still print usage.
-  if (flags.has("help")) {
-    std::fputs(usage.c_str(), stdout);
-    return 0;
-  }
-  if (tools::reject_unknown_flags(flags, usage, "mmlpt_trace")) {
-    return tools::kUsageErrorExit;
-  }
-  if (tools::handle_version(flags, "mmlpt_trace")) return 0;
   const net::Family family = tools::parse_family(flags);
-  core::TraceConfig trace_config;
-  trace_config.alpha = flags.get_double("alpha", 0.05);
-  trace_config.max_branching =
-      static_cast<int>(flags.get_int("branching", 30));
-  trace_config.phi = static_cast<int>(flags.get_int("phi", 2));
-  trace_config.window = tools::parse_window(flags);
+  const core::Algorithm algorithm = tools::parse_algorithm(flags);
+  auto trace_config = tools::parse_trace_config(flags);
   const auto stop_set_options = tools::parse_stop_set_options(flags);
   orchestrator::StopSetSession stop_set_session(
       stop_set_options.topology_cache, stop_set_options.consult);
   stop_set_session.configure(trace_config);
   tools::ObsSession obs(tools::parse_obs_options(flags));
   stop_set_session.instrument(obs.registry());
-
-  const auto algorithm_name = flags.get("algorithm", "lite");
-  core::Algorithm algorithm = core::Algorithm::kMdaLite;
-  if (algorithm_name == "mda") algorithm = core::Algorithm::kMda;
-  else if (algorithm_name == "single") algorithm = core::Algorithm::kSingleFlow;
-  else if (algorithm_name != "lite") {
-    throw ConfigError("unknown --algorithm (mda|lite|single)");
-  }
 
   const bool json = flags.get_bool("json", false);
 
@@ -253,7 +183,7 @@ int run(const Flags& flags) {
   if (flags.get_bool("multilevel", false)) {
     core::MultilevelConfig config;
     config.trace = trace_config;
-    config.rounds = static_cast<int>(flags.get_int("rounds", 10));
+    config.rounds = tools::parse_rounds(flags);
     core::MultilevelTracer tracer(engine, config);
     const auto result = tracer.run();
     if (json) {
@@ -282,10 +212,5 @@ int run(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(Flags(argc, argv));
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "mmlpt_trace: %s\n", e.what());
-    return 1;
-  }
+  return tools::cli_main(tools::Tool::kTrace, argc, argv, run);
 }

@@ -10,12 +10,10 @@
 // finish, flush the stop set, exit 0.
 #include <cerrno>
 #include <cstdio>
-#include <string>
 
 #include <poll.h>
 
 #include "cli_common.h"
-#include "common/error.h"
 #include "common/flags.h"
 #include "daemon/server.h"
 #include "daemon/signals.h"
@@ -23,33 +21,6 @@
 using namespace mmlpt;
 
 namespace {
-
-constexpr const char kUsagePrefix[] =
-    "usage: mmlptd --socket PATH [options]\n"
-    "\n"
-    "  mmlptd --socket /tmp/mmlptd.sock --jobs 8 --pps 500 \\\n"
-    "         --max-jobs 16 --tenant-pps 100 &\n"
-    "  mmlpt_client --socket /tmp/mmlptd.sock --routes 64\n"
-    "\n"
-    "One daemon process owns the fleet scheduler, the fleet-wide rate\n"
-    "limiter and the Doubletree stop set; clients submit jobs over the\n"
-    "socket and stream back JSONL byte-identical to `mmlpt_fleet --jobs 1`\n"
-    "with the same flags.\n"
-    "\n"
-    "options:\n";
-constexpr const char kUsageSuffix[] =
-    "  --version            print version and exit\n"
-    "\n"
-    "The fleet flags (--jobs/--pps/--burst) shape the SHARED scheduler:\n"
-    "--pps bounds the sum of all tenants' probe traffic.\n"
-    "--topology-cache/--stop-set install one shared stop set;\n"
-    "discoveries are flushed to the store at shutdown.\n";
-
-std::string usage_text() {
-  return kUsagePrefix + tools::daemon_options_usage() +
-         tools::format_option_block(tools::fleet_option_table()) +
-         tools::stop_set_options_usage() + kUsageSuffix;
-}
 
 int run_daemon(const Flags& flags) {
   const auto options = tools::parse_daemon_options(flags);
@@ -87,20 +58,5 @@ int run_daemon(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    const Flags flags(argc, argv);
-    const auto usage = usage_text();
-    if (flags.has("help")) {
-      std::fputs(usage.c_str(), stdout);
-      return 0;
-    }
-    if (tools::reject_unknown_flags(flags, usage, "mmlptd")) {
-      return tools::kUsageErrorExit;
-    }
-    if (tools::handle_version(flags, "mmlptd")) return 0;
-    return run_daemon(flags);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "mmlptd: %s\n", e.what());
-    return 1;
-  }
+  return tools::cli_main(tools::Tool::kDaemon, argc, argv, run_daemon);
 }
