@@ -47,8 +47,12 @@ class StoppingPoints {
   [[nodiscard]] double epsilon() const noexcept { return epsilon_; }
 
   /// P(n, K): probability that n uniform probes over K successors leave
-  /// at least one unseen (inclusion-exclusion; exposed for tests and for
-  /// Fakeroute's analytic failure computation).
+  /// at least one unseen, by the inclusion-exclusion sum; used by the n_k
+  /// scan and exposed for tests. n < K returns exactly 1. The sum is
+  /// accurate for n at or above the previous stopping point n_{K-2},
+  /// which is where the scan evaluates it. Closer to K its alternating
+  /// terms cancel in double precision: miss_probability(200, 200)
+  /// returns 0, although 1 - 200!/200^200 is about 1.
   [[nodiscard]] static double miss_probability(int n, int successor_count);
 
  private:

@@ -79,9 +79,7 @@ topo::VertexId Simulator::walk(const net::FlowTuple& flow, std::uint16_t hop) {
 std::optional<SimReply> Simulator::emit(
     std::uint32_t router_index, net::IpAddress interface, net::IpAddress to,
     std::uint16_t hop, std::uint16_t probe_ip_id, ReplyKind kind,
-    const net::IcmpMessage* message4, const net::Icmpv6Message* message6,
-    Nanos now) {
-  MMLPT_EXPECTS((message4 != nullptr) != (message6 != nullptr));
+    const net::IcmpMessage& message, Nanos now) {
   const auto& spec = truth_->routers[router_index];
   const bool responds = kind == ReplyKind::kEcho ? spec.responds_to_direct
                                                  : spec.responds_to_indirect;
@@ -106,20 +104,16 @@ std::optional<SimReply> Simulator::emit(
   const auto reply_ttl = static_cast<std::uint8_t>(
       initial_ttl > hop ? initial_ttl - hop : 1);
 
+  // IPv6 carries no identification field: the router's IP-ID machinery
+  // never runs, which is exactly why v6 alias resolution degrades to
+  // "unsupported-family" upstream.
+  const std::uint16_t ip_id =
+      interface.is_v4() ? router_state(router_index)
+                              .next_ip_id(interface, now, probe_ip_id, kind)
+                        : 0;
   SimReply reply;
-  if (message4 != nullptr) {
-    const std::uint16_t ip_id = router_state(router_index)
-                                    .next_ip_id(interface, now, probe_ip_id,
-                                                kind);
-    reply.datagram =
-        net::build_icmp_datagram(*message4, interface, to, reply_ttl, ip_id);
-  } else {
-    // IPv6 carries no identification field: the router's IP-ID machinery
-    // never runs, which is exactly why v6 alias resolution degrades to
-    // "unsupported-family" upstream.
-    reply.datagram =
-        net::build_icmpv6_datagram(*message6, interface, to, reply_ttl);
-  }
+  reply.datagram =
+      net::build_icmp_datagram(message, interface, to, reply_ttl, ip_id);
   reply.rtt = sample_rtt(hop);
   ++counters_.replies_out;
   return reply;
@@ -129,7 +123,6 @@ std::optional<SimReply> Simulator::handle_udp(
     const net::ParsedProbe& probe, std::span<const std::uint8_t> raw,
     Nanos now) {
   const auto& g = truth_->graph;
-  const bool v6 = probe.family == net::Family::kIpv6;
   const std::uint16_t dest_hop = g.hop_count() - 1;
   const std::uint16_t expiry_hop =
       std::min<std::uint16_t>(probe.ttl(), dest_hop);
@@ -144,8 +137,9 @@ std::optional<SimReply> Simulator::handle_udp(
   // Routers quote the IP header + 8 bytes of the offending datagram, with
   // its TTL as seen on arrival; MPLS labels are attached when the
   // receiving interface is inside a labelled tunnel.
-  const std::size_t header_size =
-      v6 ? net::kIpv6HeaderSize : net::kIpv4HeaderSize;
+  const std::size_t header_size = probe.family == net::Family::kIpv6
+                                      ? net::kIpv6HeaderSize
+                                      : net::kIpv4HeaderSize;
   std::vector<std::uint8_t> quoted(
       raw.begin(),
       raw.begin() + std::min<std::size_t>(raw.size(), header_size + 8));
@@ -156,19 +150,12 @@ std::optional<SimReply> Simulator::handle_udp(
                       static_cast<std::uint8_t>(expiry_hop + 1)});
   }
 
-  const std::uint16_t hop = expiry_hop;
-  if (v6) {
-    const auto message = expiry_hop == dest_hop
-                             ? net::make_port_unreachable_v6(quoted, labels)
-                             : net::make_time_exceeded_v6(quoted, labels);
-    return emit(router, interface, probe.src(), hop, probe.ip_id(),
-                ReplyKind::kError, nullptr, &message, now);
-  }
-  const auto message = expiry_hop == dest_hop
-                           ? net::make_port_unreachable(quoted, labels)
-                           : net::make_time_exceeded(quoted, labels);
-  return emit(router, interface, probe.src(), hop, probe.ip_id(),
-              ReplyKind::kError, &message, nullptr, now);
+  const auto message =
+      expiry_hop == dest_hop
+          ? net::make_port_unreachable(probe.family, quoted, labels)
+          : net::make_time_exceeded(quoted, labels);
+  return emit(router, interface, probe.src(), expiry_hop, probe.ip_id(),
+              ReplyKind::kError, message, now);
 }
 
 std::optional<SimReply> Simulator::handle_echo(const net::ParsedProbe& probe,
@@ -180,14 +167,8 @@ std::optional<SimReply> Simulator::handle_echo(const net::ParsedProbe& probe,
   }
   const std::uint32_t router = truth_->vertex_router[vertex];
   const std::uint16_t hop = truth_->graph.vertex(vertex).hop;
-  if (probe.family == net::Family::kIpv6) {
-    const auto message = net::make_echo_reply_v6(probe.icmp6);
-    return emit(router, probe.dst(), probe.src(), hop, probe.ip_id(),
-                ReplyKind::kEcho, nullptr, &message, now);
-  }
-  const auto message = net::make_echo_reply(probe.icmp);
   return emit(router, probe.dst(), probe.src(), hop, probe.ip_id(),
-              ReplyKind::kEcho, &message, nullptr, now);
+              ReplyKind::kEcho, net::make_echo_reply(probe.icmp), now);
 }
 
 std::optional<SimReply> Simulator::handle(std::span<const std::uint8_t> probe,

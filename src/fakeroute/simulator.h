@@ -98,13 +98,12 @@ class Simulator {
 
   /// Emit a reply from `interface` (owned by `router_index`); applies
   /// responsiveness, rate limiting and loss. `hop` drives the RTT and
-  /// reply-TTL model; pass 0 for direct (echo) replies. Exactly one of
-  /// `message4` / `message6` is non-null, selecting the wire family.
+  /// reply-TTL model; pass 0 for direct (echo) replies. The addresses'
+  /// family selects the wire family.
   [[nodiscard]] std::optional<SimReply> emit(
       std::uint32_t router_index, net::IpAddress interface,
       net::IpAddress to, std::uint16_t hop, std::uint16_t probe_ip_id,
-      ReplyKind kind, const net::IcmpMessage* message4,
-      const net::Icmpv6Message* message6, Nanos now);
+      ReplyKind kind, const net::IcmpMessage& message, Nanos now);
 
   /// The router's state, built on first use from its seed.
   [[nodiscard]] RouterState& router_state(std::uint32_t router_index);

@@ -1,6 +1,7 @@
 #include "net/icmp.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/assert.h"
 #include "common/error.h"
@@ -11,15 +12,12 @@ namespace mmlpt::net {
 namespace {
 
 // RFC 4884: when extensions are appended, the quoted ("original datagram")
-// region must be padded to 128 bytes and its length recorded in 32-bit words.
+// region must be padded to 128 bytes (a multiple of both families' length
+// units) and its length recorded in the message header.
 constexpr std::size_t kPaddedQuotedSize = 128;
 constexpr std::uint8_t kExtVersion = 2;
 constexpr std::uint8_t kClassMpls = 1;   // RFC 4950 MPLS Label Stack Class
 constexpr std::uint8_t kCTypeIncoming = 1;
-
-}  // namespace
-
-namespace detail {
 
 void append_mpls_extension(WireWriter& w,
                            std::span<const MplsLabelEntry> labels) {
@@ -90,90 +88,94 @@ std::vector<MplsLabelEntry> parse_mpls_extension(WireReader& reader) {
   return labels;
 }
 
-}  // namespace detail
+/// The family's checksum of `message`: plain (v4) or over the IPv6
+/// pseudo-header (v6). 0 when `message` carries a valid checksum.
+std::uint16_t checksum(const IcmpWire& wire, const IpAddress& src,
+                       const IpAddress& dst,
+                       std::span<const std::uint8_t> message) noexcept {
+  return wire.pseudo_header_checksum ? icmpv6_checksum(src, dst, message)
+                                     : internet_checksum(message);
+}
 
-std::vector<std::uint8_t> IcmpMessage::serialize() const {
+}  // namespace
+
+std::vector<std::uint8_t> IcmpMessage::serialize(const IpAddress& src,
+                                                 const IpAddress& dst) const {
+  MMLPT_EXPECTS(src.family() == dst.family());
+  const IcmpWire& wire = icmp_wire(dst.family());
   WireWriter w(kPaddedQuotedSize + 32);
-  w.u8(static_cast<std::uint8_t>(type));
+  w.u8(wire.number(type));
   w.u8(code);
   w.u16(0);  // checksum placeholder
 
-  switch (type) {
-    case IcmpType::kEchoRequest:
-    case IcmpType::kEchoReply:
-      w.u16(identifier);
-      w.u16(sequence);
-      w.bytes(echo_payload);
-      break;
-    case IcmpType::kTimeExceeded:
-    case IcmpType::kDestUnreachable: {
-      const bool multipart = !mpls_labels.empty();
-      const std::size_t aligned = (quoted.size() + 3) / 4 * 4;
-      const std::size_t quoted_size =
-          multipart ? std::max(aligned, kPaddedQuotedSize) : quoted.size();
-      const auto length_words = static_cast<std::uint8_t>(
-          multipart ? quoted_size / 4 : 0);
-      w.u8(0);              // unused
-      w.u8(length_words);   // RFC 4884 length (0 when no extension)
-      w.u16(0);             // unused / next-hop MTU
-      w.bytes(quoted);
-      if (multipart) {
-        if (quoted.size() < quoted_size) {
-          w.zeros(quoted_size - quoted.size());
-        }
-        detail::append_mpls_extension(w, mpls_labels);
-      }
-      break;
+  if (is_error()) {
+    const bool multipart = !mpls_labels.empty();
+    const std::size_t unit = wire.length_unit;
+    const std::size_t aligned = (quoted.size() + unit - 1) / unit * unit;
+    const std::size_t quoted_size =
+        multipart ? std::max(aligned, kPaddedQuotedSize) : quoted.size();
+    const auto length_words =
+        static_cast<std::uint8_t>(multipart ? quoted_size / unit : 0);
+    // Four bytes, all unused but the RFC 4884 length (0 when no extension).
+    for (std::size_t at = 4; at < 8; ++at) {
+      w.u8(at == wire.length_octet ? length_words : 0);
     }
+    w.bytes(quoted);
+    if (multipart) {
+      if (quoted.size() < quoted_size) {
+        w.zeros(quoted_size - quoted.size());
+      }
+      append_mpls_extension(w, mpls_labels);
+    }
+  } else {
+    w.u16(identifier);
+    w.u16(sequence);
+    w.bytes(echo_payload);
   }
 
-  const std::uint16_t sum = internet_checksum(w.view());
-  w.patch_u16(2, sum);
+  w.patch_u16(2, checksum(wire, src, dst, w.view()));
   return std::move(w).take();
 }
 
-IcmpMessage IcmpMessage::parse(WireReader& reader) {
+IcmpMessage IcmpMessage::parse(WireReader& reader, const IpAddress& src,
+                               const IpAddress& dst) {
+  const IcmpWire& wire = icmp_wire(dst.family());
   const std::size_t start = reader.offset();
   const std::size_t message_size = reader.remaining();
   IcmpMessage m;
-  m.type = static_cast<IcmpType>(reader.u8());
+  const std::uint8_t number = reader.u8();
   m.code = reader.u8();
-  const std::uint16_t checksum = reader.u16();
-  if (checksum != 0 &&
-      internet_checksum(reader.window(start, message_size)) != 0) {
-    throw ParseError("ICMP checksum mismatch");
+  if (reader.u16() != 0 &&
+      checksum(wire, src, dst, reader.window(start, message_size)) != 0) {
+    throw ParseError(std::string(wire.name) + " checksum mismatch");
   }
+  const auto found = std::find(wire.type_number.begin(),
+                                wire.type_number.end(), number);
+  if (found == wire.type_number.end()) {
+    throw ParseError("unsupported " + std::string(wire.name) + " type " +
+                     std::to_string(number));
+  }
+  m.type = static_cast<IcmpType>(found - wire.type_number.begin());
 
-  switch (m.type) {
-    case IcmpType::kEchoRequest:
-    case IcmpType::kEchoReply: {
-      m.identifier = reader.u16();
-      m.sequence = reader.u16();
-      const auto payload = reader.bytes(reader.remaining());
-      m.echo_payload.assign(payload.begin(), payload.end());
-      break;
-    }
-    case IcmpType::kTimeExceeded:
-    case IcmpType::kDestUnreachable: {
-      reader.skip(1);  // unused
-      const std::uint8_t length_words = reader.u8();
-      reader.skip(2);  // unused / next-hop MTU
-      if (length_words == 0) {
-        const auto rest = reader.bytes(reader.remaining());
-        m.quoted.assign(rest.begin(), rest.end());
-      } else {
-        const std::size_t quoted_size = std::size_t{length_words} * 4;
-        const auto region = reader.bytes(quoted_size);
-        m.quoted.assign(region.begin(), region.end());
-        if (reader.remaining() >= 4) {
-          m.mpls_labels = detail::parse_mpls_extension(reader);
-        }
+  if (m.is_error()) {
+    const auto rest = reader.bytes(4);
+    const std::uint8_t length_words = rest[wire.length_octet - 4];
+    if (length_words == 0) {
+      const auto all = reader.bytes(reader.remaining());
+      m.quoted.assign(all.begin(), all.end());
+    } else {
+      const auto region =
+          reader.bytes(std::size_t{length_words} * wire.length_unit);
+      m.quoted.assign(region.begin(), region.end());
+      if (reader.remaining() >= 4) {
+        m.mpls_labels = parse_mpls_extension(reader);
       }
-      break;
     }
-    default:
-      throw ParseError("unsupported ICMP type " +
-                       std::to_string(static_cast<int>(m.type)));
+  } else {
+    m.identifier = reader.u16();
+    m.sequence = reader.u16();
+    const auto payload = reader.bytes(reader.remaining());
+    m.echo_payload.assign(payload.begin(), payload.end());
   }
   return m;
 }
@@ -189,11 +191,11 @@ IcmpMessage make_time_exceeded(std::span<const std::uint8_t> offending_datagram,
 }
 
 IcmpMessage make_port_unreachable(
-    std::span<const std::uint8_t> offending_datagram,
+    Family family, std::span<const std::uint8_t> offending_datagram,
     std::span<const MplsLabelEntry> labels) {
   IcmpMessage m;
   m.type = IcmpType::kDestUnreachable;
-  m.code = kCodePortUnreachable;
+  m.code = icmp_wire(family).port_unreachable_code;
   m.quoted.assign(offending_datagram.begin(), offending_datagram.end());
   m.mpls_labels.assign(labels.begin(), labels.end());
   return m;

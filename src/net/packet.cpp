@@ -1,5 +1,7 @@
 #include "net/packet.h"
 
+#include <string>
+
 #include "common/assert.h"
 #include "common/error.h"
 
@@ -20,6 +22,49 @@ Family sniff_family(std::span<const std::uint8_t> datagram) {
   if (version == 4) return Family::kIpv4;
   if (version == 6) return Family::kIpv6;
   throw ParseError("unknown IP version " + std::to_string(version));
+}
+
+/// The IP header fields the layers above read, whichever family.
+struct IpFields {
+  IpAddress src;
+  IpAddress dst;
+  IpProto protocol;
+};
+
+/// Parse the family's IP header into `v4` or `v6`.
+IpFields parse_ip_header(WireReader& reader, Family family, Ipv4Header& v4,
+                         Ipv6Header& v6, bool verify_checksum = true) {
+  if (family == Family::kIpv4) {
+    v4 = Ipv4Header::parse(reader, verify_checksum);
+    return {v4.src, v4.dst, v4.protocol};
+  }
+  v6 = Ipv6Header::parse(reader);
+  return {v6.src, v6.dst, v6.next_header};
+}
+
+/// Wrap `payload` in the IP header of the addresses' family. `ip_id` is
+/// dropped on v6 (no identification field), `flow_label` on v4.
+std::vector<std::uint8_t> ip_datagram(const IpAddress& src,
+                                      const IpAddress& dst, IpProto protocol,
+                                      std::uint8_t ttl, std::uint16_t ip_id,
+                                      std::uint32_t flow_label,
+                                      std::span<const std::uint8_t> payload) {
+  if (dst.is_v4()) {
+    Ipv4Header ip;
+    ip.ttl = ttl;
+    ip.protocol = protocol;
+    ip.identification = ip_id;
+    ip.src = src;
+    ip.dst = dst;
+    return ip.serialize(payload);
+  }
+  Ipv6Header ip6;
+  ip6.hop_limit = ttl;
+  ip6.next_header = protocol;
+  ip6.flow_label = flow_label;
+  ip6.src = src;
+  ip6.dst = dst;
+  return ip6.serialize(payload);
 }
 
 }  // namespace
@@ -48,23 +93,8 @@ std::vector<std::uint8_t> build_udp_probe(const ProbeSpec& spec) {
   udp.src_port = spec.src_port;
   udp.dst_port = spec.dst_port;
   const auto segment = udp.serialize(spec.src, spec.dst, payload);
-
-  if (spec.dst.is_v4()) {
-    Ipv4Header ip;
-    ip.ttl = spec.ttl;
-    ip.protocol = IpProto::kUdp;
-    ip.identification = spec.ip_id;
-    ip.src = spec.src;
-    ip.dst = spec.dst;
-    return ip.serialize(segment);
-  }
-  Ipv6Header ip6;
-  ip6.hop_limit = spec.ttl;
-  ip6.next_header = IpProto::kUdp;
-  ip6.flow_label = spec.flow_label;
-  ip6.src = spec.src;
-  ip6.dst = spec.dst;
-  return ip6.serialize(segment);
+  return ip_datagram(spec.src, spec.dst, IpProto::kUdp, spec.ttl, spec.ip_id,
+                     spec.flow_label, segment);
 }
 
 std::vector<std::uint8_t> build_echo_probe(const IpAddress& src,
@@ -73,52 +103,33 @@ std::vector<std::uint8_t> build_echo_probe(const IpAddress& src,
                                            std::uint16_t sequence,
                                            std::uint8_t ttl,
                                            std::uint16_t ip_id) {
-  MMLPT_EXPECTS(src.family() == dst.family());
-  if (dst.is_v4()) {
-    const auto icmp = make_echo_request(identifier, sequence).serialize();
-    Ipv4Header ip;
-    ip.ttl = ttl;
-    ip.protocol = IpProto::kIcmp;
-    ip.identification = ip_id;
-    ip.src = src;
-    ip.dst = dst;
-    return ip.serialize(icmp);
-  }
-  const auto icmp6 =
-      make_echo_request_v6(identifier, sequence).serialize(src, dst);
-  Ipv6Header ip6;
-  ip6.hop_limit = ttl;
-  ip6.next_header = IpProto::kIcmpv6;
-  ip6.src = src;
-  ip6.dst = dst;
-  return ip6.serialize(icmp6);
+  return build_icmp_datagram(make_echo_request(identifier, sequence), src,
+                             dst, ttl, ip_id);
+}
+
+std::vector<std::uint8_t> build_icmp_datagram(const IcmpMessage& message,
+                                              const IpAddress& src,
+                                              const IpAddress& dst,
+                                              std::uint8_t ttl,
+                                              std::uint16_t ip_id) {
+  return ip_datagram(src, dst, icmp_wire(dst.family()).protocol, ttl, ip_id,
+                     /*flow_label=*/0, message.serialize(src, dst));
 }
 
 FlowTuple ParsedProbe::flow() const noexcept {
   FlowTuple t;
   t.src = src();
   t.dst = dst();
-  if (family == Family::kIpv4) {
-    t.protocol = static_cast<std::uint8_t>(ip.protocol);
-    if (ip.protocol == IpProto::kUdp) {
-      t.src_port = udp.src_port;
-      t.dst_port = udp.dst_port;
-    } else if (ip.protocol == IpProto::kIcmp) {
-      // ICMP "flow" identity: echo identifier/sequence stand in for ports,
-      // mirroring how real load balancers hash ICMP (or not at all).
-      t.src_port = icmp.identifier;
-      t.dst_port = icmp.sequence;
-    }
-    return t;
-  }
-  t.protocol = static_cast<std::uint8_t>(ip6.next_header);
-  t.flow_label = ip6.flow_label;
-  if (ip6.next_header == IpProto::kUdp) {
+  t.protocol = static_cast<std::uint8_t>(protocol());
+  t.flow_label = flow_label();
+  if (is_udp()) {
     t.src_port = udp.src_port;
     t.dst_port = udp.dst_port;
-  } else if (ip6.next_header == IpProto::kIcmpv6) {
-    t.src_port = icmp6.identifier;
-    t.dst_port = icmp6.sequence;
+  } else if (protocol() == icmp_wire(family).protocol) {
+    // ICMP "flow" identity: echo identifier/sequence stand in for ports,
+    // mirroring how real load balancers hash ICMP (or not at all).
+    t.src_port = icmp.identifier;
+    t.dst_port = icmp.sequence;
   }
   return t;
 }
@@ -127,131 +138,55 @@ ParsedProbe parse_probe(std::span<const std::uint8_t> datagram) {
   WireReader reader(datagram);
   ParsedProbe p;
   p.family = sniff_family(datagram);
-  if (p.family == Family::kIpv4) {
-    p.ip = Ipv4Header::parse(reader);
-    switch (p.ip.protocol) {
-      case IpProto::kUdp:
-        p.udp = UdpHeader::parse(reader);
-        break;
-      case IpProto::kIcmp:
-        p.icmp = IcmpMessage::parse(reader);
-        break;
-      default:
-        throw ParseError("probe is neither UDP nor ICMP");
-    }
-    return p;
-  }
-  p.ip6 = Ipv6Header::parse(reader);
-  switch (p.ip6.next_header) {
-    case IpProto::kUdp:
-      p.udp = UdpHeader::parse(reader);
-      break;
-    case IpProto::kIcmpv6:
-      p.icmp6 = Icmpv6Message::parse(reader, p.ip6.src, p.ip6.dst);
-      break;
-    default:
-      throw ParseError("probe is neither UDP nor ICMPv6");
+  const IpFields ip = parse_ip_header(reader, p.family, p.ip, p.ip6);
+  const IcmpWire& wire = icmp_wire(p.family);
+  if (ip.protocol == IpProto::kUdp) {
+    p.udp = UdpHeader::parse(reader);
+  } else if (ip.protocol == wire.protocol) {
+    p.icmp = IcmpMessage::parse(reader, ip.src, ip.dst);
+  } else {
+    throw ParseError(std::string("probe is neither UDP nor ") + wire.name);
   }
   return p;
 }
-
-namespace {
-
-void parse_reply_v4(WireReader& reader, ParsedReply& r) {
-  r.outer = Ipv4Header::parse(reader);
-  if (r.outer.protocol != IpProto::kIcmp) {
-    throw ParseError("reply is not ICMP");
-  }
-  r.icmp = IcmpMessage::parse(reader);
-
-  if (r.icmp.is_error() && !r.icmp.quoted.empty()) {
-    WireReader quoted(r.icmp.quoted);
-    // Routers may quote as little as header + 8 bytes; never verify the
-    // quoted checksum (some quote with mutated fields).
-    r.quoted_ip = Ipv4Header::parse(quoted, /*verify_checksum=*/false);
-    if (quoted.remaining() >= kUdpHeaderSize &&
-        r.quoted_ip->protocol == IpProto::kUdp) {
-      r.quoted_udp = UdpHeader::parse(quoted);
-    } else if (quoted.remaining() >= 8 &&
-               r.quoted_ip->protocol == IpProto::kIcmp) {
-      // Quoted ICMP echo: parse leniently (first 8 bytes only).
-      IcmpMessage q;
-      q.type = static_cast<IcmpType>(quoted.u8());
-      q.code = quoted.u8();
-      (void)quoted.u16();  // checksum
-      q.identifier = quoted.u16();
-      q.sequence = quoted.u16();
-      r.quoted_icmp = q;
-    }
-  }
-}
-
-void parse_reply_v6(WireReader& reader, ParsedReply& r) {
-  r.outer6 = Ipv6Header::parse(reader);
-  if (r.outer6.next_header != IpProto::kIcmpv6) {
-    throw ParseError("reply is not ICMPv6");
-  }
-  r.icmp6 = Icmpv6Message::parse(reader, r.outer6.src, r.outer6.dst);
-
-  if (r.icmp6.is_error() && !r.icmp6.quoted.empty()) {
-    WireReader quoted(r.icmp6.quoted);
-    r.quoted_ip6 = Ipv6Header::parse(quoted);
-    if (quoted.remaining() >= kUdpHeaderSize &&
-        r.quoted_ip6->next_header == IpProto::kUdp) {
-      r.quoted_udp = UdpHeader::parse(quoted);
-    } else if (quoted.remaining() >= 8 &&
-               r.quoted_ip6->next_header == IpProto::kIcmpv6) {
-      // Quoted ICMPv6 echo: parse leniently (first 8 bytes only; never
-      // verify the quoted checksum).
-      Icmpv6Message q;
-      q.type = static_cast<Icmpv6Type>(quoted.u8());
-      q.code = quoted.u8();
-      (void)quoted.u16();  // checksum
-      q.identifier = quoted.u16();
-      q.sequence = quoted.u16();
-      r.quoted_icmp6 = q;
-    }
-  }
-}
-
-}  // namespace
 
 ParsedReply parse_reply(std::span<const std::uint8_t> datagram) {
   WireReader reader(datagram);
   ParsedReply r;
   r.family = sniff_family(datagram);
+  const IcmpWire& wire = icmp_wire(r.family);
+  const IpFields outer = parse_ip_header(reader, r.family, r.outer, r.outer6);
+  if (outer.protocol != wire.protocol) {
+    throw ParseError(std::string("reply is not ") + wire.name);
+  }
+  r.icmp = IcmpMessage::parse(reader, outer.src, outer.dst);
+  if (!r.icmp.is_error() || r.icmp.quoted.empty()) return r;
+
+  // Routers may quote as little as header + 8 bytes; never verify the
+  // quoted checksums (some quote with mutated fields).
+  WireReader quoted(r.icmp.quoted);
+  Ipv4Header quoted_ip;
+  Ipv6Header quoted_ip6;
+  const IpFields probe = parse_ip_header(quoted, r.family, quoted_ip,
+                                         quoted_ip6, /*verify_checksum=*/false);
   if (r.family == Family::kIpv4) {
-    parse_reply_v4(reader, r);
+    r.quoted_ip = quoted_ip;
   } else {
-    parse_reply_v6(reader, r);
+    r.quoted_ip6 = quoted_ip6;
+  }
+  if (quoted.remaining() >= kUdpHeaderSize &&
+      probe.protocol == IpProto::kUdp) {
+    r.quoted_udp = UdpHeader::parse(quoted);
+  } else if (quoted.remaining() >= 8 && probe.protocol == wire.protocol) {
+    // Quoted echo: read the identifier and sequence past type, code and
+    // checksum.
+    quoted.skip(4);
+    IcmpMessage echo;
+    echo.identifier = quoted.u16();
+    echo.sequence = quoted.u16();
+    r.quoted_icmp = std::move(echo);
   }
   return r;
-}
-
-std::vector<std::uint8_t> build_icmp_datagram(const IcmpMessage& message,
-                                              const IpAddress& src,
-                                              const IpAddress& dst,
-                                              std::uint8_t ttl,
-                                              std::uint16_t ip_id) {
-  Ipv4Header ip;
-  ip.ttl = ttl;
-  ip.protocol = IpProto::kIcmp;
-  ip.identification = ip_id;
-  ip.src = src;
-  ip.dst = dst;
-  return ip.serialize(message.serialize());
-}
-
-std::vector<std::uint8_t> build_icmpv6_datagram(const Icmpv6Message& message,
-                                                const IpAddress& src,
-                                                const IpAddress& dst,
-                                                std::uint8_t hop_limit) {
-  Ipv6Header ip6;
-  ip6.hop_limit = hop_limit;
-  ip6.next_header = IpProto::kIcmpv6;
-  ip6.src = src;
-  ip6.dst = dst;
-  return ip6.serialize(message.serialize(src, dst));
 }
 
 }  // namespace mmlpt::net

@@ -3,7 +3,8 @@
 // probe is a real IPv4/UDP or IPv6/UDP datagram (or ICMP(v6) echo), a
 // reply a real ICMPv4 / ICMPv6 datagram, exactly as on the Internet. The
 // family is sniffed from the IP version nibble, so every consumer handles
-// both stacks through one surface.
+// both stacks through one surface; past the IP header, both families
+// share one ICMP codec (net/icmp.h).
 #ifndef MMLPT_NET_PACKET_H
 #define MMLPT_NET_PACKET_H
 
@@ -13,7 +14,6 @@
 #include <vector>
 
 #include "net/icmp.h"
-#include "net/icmpv6.h"
 #include "net/ip_address.h"
 #include "net/ipv4.h"
 #include "net/ipv6.h"
@@ -69,11 +69,9 @@ struct ParsedProbe {
   Family family = Family::kIpv4;
   Ipv4Header ip;    ///< valid when family == kIpv4
   Ipv6Header ip6;   ///< valid when family == kIpv6
-  // Exactly one of the following is meaningful, per the IP protocol /
-  // next header:
-  UdpHeader udp;        ///< UDP probe (either family)
-  IcmpMessage icmp;     ///< v4 echo request
-  Icmpv6Message icmp6;  ///< v6 echo request
+  // Exactly one of the following is meaningful, per protocol():
+  UdpHeader udp;     ///< UDP probe
+  IcmpMessage icmp;  ///< echo request
 
   // ---- family-neutral accessors ----
   [[nodiscard]] IpAddress src() const noexcept {
@@ -90,16 +88,20 @@ struct ParsedProbe {
   [[nodiscard]] std::uint16_t ip_id() const noexcept {
     return family == Family::kIpv4 ? ip.identification : 0;
   }
+  /// IPv6 flow label; 0 on v4 (no such field).
+  [[nodiscard]] std::uint32_t flow_label() const noexcept {
+    return family == Family::kIpv4 ? 0 : ip6.flow_label;
+  }
+  /// IPv4 protocol / IPv6 next header.
+  [[nodiscard]] IpProto protocol() const noexcept {
+    return family == Family::kIpv4 ? ip.protocol : ip6.next_header;
+  }
   [[nodiscard]] bool is_udp() const noexcept {
-    return family == Family::kIpv4 ? ip.protocol == IpProto::kUdp
-                                   : ip6.next_header == IpProto::kUdp;
+    return protocol() == IpProto::kUdp;
   }
   [[nodiscard]] bool is_echo_request() const noexcept {
-    return family == Family::kIpv4
-               ? (ip.protocol == IpProto::kIcmp &&
-                  icmp.type == IcmpType::kEchoRequest)
-               : (ip6.next_header == IpProto::kIcmpv6 &&
-                  icmp6.type == Icmpv6Type::kEchoRequest);
+    return protocol() == icmp_wire(family).protocol &&
+           icmp.type == IcmpType::kEchoRequest;
   }
 
   [[nodiscard]] FlowTuple flow() const noexcept;
@@ -107,39 +109,33 @@ struct ParsedProbe {
 
 [[nodiscard]] ParsedProbe parse_probe(std::span<const std::uint8_t> datagram);
 
-/// An ICMP(v6) reply parsed into the fields the algorithms consume.
+/// An ICMP reply of either family parsed into the fields the algorithms
+/// consume.
 struct ParsedReply {
   Family family = Family::kIpv4;
   Ipv4Header outer;     ///< valid when family == kIpv4
   Ipv6Header outer6;    ///< valid when family == kIpv6
-  IcmpMessage icmp;     ///< valid when family == kIpv4
-  Icmpv6Message icmp6;  ///< valid when family == kIpv6
-  /// For error replies: the quoted probe, re-parsed (checksum not verified;
-  /// routers may quote truncated datagrams).
+  IcmpMessage icmp;
+  /// For error replies: the quoted probe, re-parsed (checksums not
+  /// verified; routers may quote truncated datagrams). A quoted echo
+  /// keeps only its identifier and sequence.
   std::optional<Ipv4Header> quoted_ip;
   std::optional<Ipv6Header> quoted_ip6;
   std::optional<UdpHeader> quoted_udp;
   std::optional<IcmpMessage> quoted_icmp;
-  std::optional<Icmpv6Message> quoted_icmp6;
 
   [[nodiscard]] IpAddress responder() const noexcept {
     return family == Family::kIpv4 ? outer.src : outer6.src;
   }
   [[nodiscard]] bool is_time_exceeded() const noexcept {
-    return family == Family::kIpv4
-               ? icmp.type == IcmpType::kTimeExceeded
-               : icmp6.type == Icmpv6Type::kTimeExceeded;
+    return icmp.type == IcmpType::kTimeExceeded;
   }
   [[nodiscard]] bool is_port_unreachable() const noexcept {
-    return family == Family::kIpv4
-               ? (icmp.type == IcmpType::kDestUnreachable &&
-                  icmp.code == kCodePortUnreachable)
-               : (icmp6.type == Icmpv6Type::kDestUnreachable &&
-                  icmp6.code == kCodePortUnreachableV6);
+    return icmp.type == IcmpType::kDestUnreachable &&
+           icmp.code == icmp_wire(family).port_unreachable_code;
   }
   [[nodiscard]] bool is_echo_reply() const noexcept {
-    return family == Family::kIpv4 ? icmp.type == IcmpType::kEchoReply
-                                   : icmp6.type == Icmpv6Type::kEchoReply;
+    return icmp.type == IcmpType::kEchoReply;
   }
   /// Outer-header identification (v4) — the alias-resolution IP-ID
   /// signal. 0 on v6: the field does not exist, which is why the
@@ -153,22 +149,29 @@ struct ParsedReply {
   }
   [[nodiscard]] const std::vector<MplsLabelEntry>& mpls_labels()
       const noexcept {
-    return family == Family::kIpv4 ? icmp.mpls_labels : icmp6.mpls_labels;
+    return icmp.mpls_labels;
+  }
+  /// The quoted probe's destination; nullopt when nothing is quoted.
+  [[nodiscard]] std::optional<IpAddress> quoted_dst() const noexcept {
+    if (quoted_ip) return quoted_ip->dst;
+    if (quoted_ip6) return quoted_ip6->dst;
+    return std::nullopt;
+  }
+  /// The quoted probe's IPv6 flow label; 0 on v4 or when nothing is
+  /// quoted.
+  [[nodiscard]] std::uint32_t quoted_flow_label() const noexcept {
+    return quoted_ip6 ? quoted_ip6->flow_label : 0;
   }
 };
 
 [[nodiscard]] ParsedReply parse_reply(std::span<const std::uint8_t> datagram);
 
-/// Wrap an ICMP message in an IPv4 header from `src` to `dst`.
+/// Wrap an ICMP message in the IP header of the addresses' family, from
+/// `src` to `dst`. `ip_id` is the IPv4 identification; v6 has no such
+/// field and ignores it.
 [[nodiscard]] std::vector<std::uint8_t> build_icmp_datagram(
     const IcmpMessage& message, const IpAddress& src, const IpAddress& dst,
-    std::uint8_t ttl, std::uint16_t ip_id);
-
-/// Wrap an ICMPv6 message in an IPv6 header from `src` to `dst` (v6 has
-/// no identification field, hence no ip_id).
-[[nodiscard]] std::vector<std::uint8_t> build_icmpv6_datagram(
-    const Icmpv6Message& message, const IpAddress& src, const IpAddress& dst,
-    std::uint8_t hop_limit);
+    std::uint8_t ttl, std::uint16_t ip_id = 0);
 
 }  // namespace mmlpt::net
 

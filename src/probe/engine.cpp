@@ -76,89 +76,12 @@ TraceProbeResult ProbeEngine::probe(FlowId flow, std::uint8_t ttl) {
   return std::move(results.front());
 }
 
-std::vector<TraceProbeResult> ProbeEngine::probe_batch(
-    std::span<const ProbeRequest> requests) {
-  std::vector<TraceProbeResult> results(requests.size());
-  std::vector<std::size_t> pending(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    MMLPT_EXPECTS(requests[i].ttl >= 1);
-    pending[i] = i;
-  }
-
-  for (int attempt = 0; attempt <= config_.max_retries && !pending.empty();
-       ++attempt) {
-    if (attempt > 0 && retries_ != nullptr) retries_->add(pending.size());
-    std::vector<Datagram> window;
-    window.reserve(pending.size());
-    for (const std::size_t i : pending) {
-      net::ProbeSpec spec;
-      spec.src = config_.source;
-      spec.dst = config_.destination;
-      const auto [src_port, dst_port] = flow_ports(requests[i].flow);
-      spec.src_port = src_port;
-      spec.dst_port = dst_port;
-      spec.ttl = requests[i].ttl;
-      spec.ip_id = next_probe_ip_id_++;
-      if (family() == net::Family::kIpv6) {
-        spec.flow_label = flow_label(requests[i].flow);
-        // v6 has no identification field; encode the TTL in the payload
-        // length instead (classic traceroute style) so a raw-socket
-        // receive loop can attribute a quoted reply to the right TTL of
-        // a flow. Constant per TTL: flows still differ only in the label.
-        spec.payload_bytes =
-            static_cast<std::uint16_t>(12 + requests[i].ttl);
-      }
-
-      now_ += kSendInterval;
-      ++packets_sent_;
-      ++trace_probes_sent_;
-      results[i].probe_ip_id = spec.ip_id;
-      results[i].send_time = now_;
-      window.push_back(Datagram{net::build_udp_probe(spec), now_});
-    }
-
-    const auto replies = transact_window(window);
-    MMLPT_ASSERT(replies.size() == pending.size());
-    std::vector<std::size_t> still_pending;
-    Nanos latest_reply = now_;
-    for (std::size_t slot = 0; slot < pending.size(); ++slot) {
-      const std::size_t i = pending[slot];
-      if (!replies[slot]) {
-        still_pending.push_back(i);
-        continue;
-      }
-      const auto reply = net::parse_reply(replies[slot]->datagram);
-      auto& result = results[i];
-      result.answered = true;
-      result.responder = reply.responder();
-      result.from_destination = reply.is_port_unreachable();
-      result.reply_ip_id = reply.reply_ip_id();
-      result.reply_ttl = reply.reply_ttl();
-      result.mpls_labels = reply.mpls_labels();
-      result.recv_time = result.send_time + replies[slot]->rtt;
-      result.attempts = attempt + 1;
-      if (rtt_seconds_ != nullptr) {
-        rtt_seconds_->observe(static_cast<double>(replies[slot]->rtt) / 1e9);
-      }
-      obs::instant("rtt_sample", "probe",
-                   {{"ttl", static_cast<double>(requests[i].ttl)},
-                    {"rtt_us", static_cast<double>(replies[slot]->rtt) / 1e3}});
-      latest_reply = std::max(latest_reply, result.recv_time);
-    }
-    now_ = latest_reply;  // the window waits for its slowest answer
-    pending = std::move(still_pending);
-  }
-  for (const std::size_t i : pending) {
-    results[i].attempts = config_.max_retries + 1;
-  }
-  return results;
-}
-
-std::vector<EchoProbeResult> ProbeEngine::ping_batch(
-    std::span<const net::IpAddress> targets) {
-  std::vector<EchoProbeResult> results(targets.size());
-  std::vector<std::size_t> pending(targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i) pending[i] = i;
+template <typename Result, typename Build, typename Accept>
+std::vector<Result> ProbeEngine::retry_rounds(std::size_t count, Build&& build,
+                                              Accept&& accept) {
+  std::vector<Result> results(count);
+  std::vector<std::size_t> pending(count);
+  for (std::size_t i = 0; i < count; ++i) pending[i] = i;
 
   for (int attempt = 0; attempt <= config_.max_retries && !pending.empty();
        ++attempt) {
@@ -167,12 +90,9 @@ std::vector<EchoProbeResult> ProbeEngine::ping_batch(
     window.reserve(pending.size());
     for (const std::size_t i : pending) {
       const std::uint16_t ip_id = next_probe_ip_id_++;
-      auto datagram = net::build_echo_probe(
-          config_.source, targets[i], /*identifier=*/0x4D4C /* "ML" */,
-          next_echo_sequence_++, /*ttl=*/64, ip_id);
+      auto datagram = build(i, ip_id);
       now_ += kSendInterval;
       ++packets_sent_;
-      ++echo_probes_sent_;
       results[i].probe_ip_id = ip_id;
       results[i].send_time = now_;
       window.push_back(Datagram{std::move(datagram), now_});
@@ -189,11 +109,11 @@ std::vector<EchoProbeResult> ProbeEngine::ping_batch(
         continue;
       }
       const auto reply = net::parse_reply(replies[slot]->datagram);
-      if (!reply.is_echo_reply()) {
+      auto& result = results[i];
+      if (!accept(i, reply, replies[slot]->rtt, result)) {
         still_pending.push_back(i);
         continue;
       }
-      auto& result = results[i];
       result.answered = true;
       result.responder = reply.responder();
       result.reply_ip_id = reply.reply_ip_id();
@@ -205,13 +125,62 @@ std::vector<EchoProbeResult> ProbeEngine::ping_batch(
       }
       latest_reply = std::max(latest_reply, result.recv_time);
     }
-    now_ = latest_reply;
+    now_ = latest_reply;  // the window waits for its slowest answer
     pending = std::move(still_pending);
   }
   for (const std::size_t i : pending) {
     results[i].attempts = config_.max_retries + 1;
   }
   return results;
+}
+
+std::vector<TraceProbeResult> ProbeEngine::probe_batch(
+    std::span<const ProbeRequest> requests) {
+  for (const auto& request : requests) MMLPT_EXPECTS(request.ttl >= 1);
+  const auto build = [&](std::size_t i, std::uint16_t ip_id) {
+    net::ProbeSpec spec;
+    spec.src = config_.source;
+    spec.dst = config_.destination;
+    const auto [src_port, dst_port] = flow_ports(requests[i].flow);
+    spec.src_port = src_port;
+    spec.dst_port = dst_port;
+    spec.ttl = requests[i].ttl;
+    spec.ip_id = ip_id;
+    if (family() == net::Family::kIpv6) {
+      spec.flow_label = flow_label(requests[i].flow);
+      // v6 has no identification field; encode the TTL in the payload
+      // length instead (classic traceroute style) so a raw-socket
+      // receive loop can attribute a quoted reply to the right TTL of
+      // a flow. Constant per TTL: flows still differ only in the label.
+      spec.payload_bytes = static_cast<std::uint16_t>(12 + requests[i].ttl);
+    }
+    ++trace_probes_sent_;
+    return net::build_udp_probe(spec);
+  };
+  const auto accept = [&](std::size_t i, const net::ParsedReply& reply,
+                          Nanos rtt, TraceProbeResult& result) {
+    result.from_destination = reply.is_port_unreachable();
+    result.mpls_labels = reply.mpls_labels();
+    obs::instant("rtt_sample", "probe",
+                 {{"ttl", static_cast<double>(requests[i].ttl)},
+                  {"rtt_us", static_cast<double>(rtt) / 1e3}});
+    return true;
+  };
+  return retry_rounds<TraceProbeResult>(requests.size(), build, accept);
+}
+
+std::vector<EchoProbeResult> ProbeEngine::ping_batch(
+    std::span<const net::IpAddress> targets) {
+  const auto build = [&](std::size_t i, std::uint16_t ip_id) {
+    ++echo_probes_sent_;
+    return net::build_echo_probe(config_.source, targets[i],
+                                 /*identifier=*/0x4D4C /* "ML" */,
+                                 next_echo_sequence_++, /*ttl=*/64, ip_id);
+  };
+  // Anything but an Echo Reply counts as unanswered.
+  const auto accept = [](std::size_t, const net::ParsedReply& reply, Nanos,
+                         EchoProbeResult&) { return reply.is_echo_reply(); };
+  return retry_rounds<EchoProbeResult>(targets.size(), build, accept);
 }
 
 }  // namespace mmlpt::probe

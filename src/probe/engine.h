@@ -150,6 +150,16 @@ class ProbeEngine {
   [[nodiscard]] std::vector<std::optional<Received>> transact_window(
       std::span<const Datagram> window);
 
+  /// The retry rounds probe_batch and ping_batch share, over `count`
+  /// slots. Each round sends every pending slot in one window
+  /// (`build(i, ip_id)` makes slot i's datagram), then offers each reply
+  /// to `accept(i, reply, rtt, result)`; a missing or refused reply
+  /// leaves the slot for the next round, up to max_retries times.
+  template <typename Result, typename Build, typename Accept>
+  [[nodiscard]] std::vector<Result> retry_rounds(std::size_t count,
+                                                 Build&& build,
+                                                 Accept&& accept);
+
   TransportQueue* network_;
   Config config_;
   /// Null when Config::metrics is null — instrumentation is then one

@@ -11,35 +11,21 @@ bool reply_matches_probe(const net::ParsedProbe& sent,
                          const net::ParsedReply& got) {
   if (sent.family != got.family) return false;
   if (got.is_echo_reply()) {
-    if (!sent.is_echo_request()) return false;
-    if (sent.family == net::Family::kIpv4) {
-      return got.icmp.identifier == sent.icmp.identifier &&
-             got.icmp.sequence == sent.icmp.sequence;
-    }
-    return got.icmp6.identifier == sent.icmp6.identifier &&
-           got.icmp6.sequence == sent.icmp6.sequence;
+    return sent.is_echo_request() &&
+           got.icmp.identifier == sent.icmp.identifier &&
+           got.icmp.sequence == sent.icmp.sequence;
   }
-  if (sent.family == net::Family::kIpv4) {
-    if (!got.quoted_ip) return false;
-    if (got.quoted_ip->dst != sent.ip.dst) return false;
-    if (sent.ip.protocol == net::IpProto::kUdp) {
-      return got.quoted_udp && got.quoted_udp->src_port == sent.udp.src_port &&
-             got.quoted_udp->dst_port == sent.udp.dst_port;
-    }
-    return got.quoted_icmp &&
-           got.quoted_icmp->identifier == sent.icmp.identifier;
-  }
-  if (!got.quoted_ip6) return false;
-  if (got.quoted_ip6->dst != sent.ip6.dst) return false;
-  if (sent.ip6.next_header == net::IpProto::kUdp) {
-    // The flow label is the Paris identifier on v6; the (constant) ports
-    // guard against unrelated traffic towards the same destination.
-    return got.quoted_ip6->flow_label == sent.ip6.flow_label &&
-           got.quoted_udp && got.quoted_udp->src_port == sent.udp.src_port &&
+  if (got.quoted_dst() != sent.dst()) return false;
+  if (sent.is_udp()) {
+    // The Paris identifier is the source port on v4 and the flow label on
+    // v6 (0 on v4); there the (constant) ports guard against unrelated
+    // traffic towards the same destination.
+    return got.quoted_flow_label() == sent.flow_label() && got.quoted_udp &&
+           got.quoted_udp->src_port == sent.udp.src_port &&
            got.quoted_udp->dst_port == sent.udp.dst_port;
   }
-  return got.quoted_icmp6 &&
-         got.quoted_icmp6->identifier == sent.icmp6.identifier;
+  return got.quoted_icmp &&
+         got.quoted_icmp->identifier == sent.icmp.identifier;
 }
 
 bool reply_quotes_probe_id(const net::ParsedProbe& sent,

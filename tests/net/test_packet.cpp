@@ -79,7 +79,7 @@ TEST(Packet, TimeExceededReplyRoundTrip) {
 
 TEST(Packet, PortUnreachableFromDestination) {
   const auto probe = build_udp_probe(sample_spec());
-  const auto message = make_port_unreachable(probe);
+  const auto message = make_port_unreachable(Family::kIpv4, probe);
   const auto reply_bytes = build_icmp_datagram(
       message, Ipv4Address(10, 9, 9, 9), Ipv4Address(10, 0, 0, 1), 60, 1);
   const auto reply = parse_reply(reply_bytes);

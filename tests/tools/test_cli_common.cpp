@@ -161,9 +161,13 @@ TEST(UsageBlocks, EveryToolAcceptsItsOptionSet) {
   EXPECT_EQ(usage_flag_names(usage_text(Tool::kClient)),
             with(job_spec, {"socket", "tenant", "output", "status",
                             "metrics", "cancel-after-lines"}));
+  // The daemon takes neither --window (a job's window is in the client's
+  // spec) nor --fsync (it writes no JSONL file).
   EXPECT_EQ(usage_flag_names(usage_text(Tool::kDaemon)),
-            with(fleet, {"socket", "max-jobs", "max-jobs-per-tenant",
-                         "tenant-pps", "tenant-burst"}));
+            (std::set<std::string>{
+                "socket", "max-jobs", "max-jobs-per-tenant", "tenant-pps",
+                "tenant-burst", "jobs", "pps", "burst", "topology-cache",
+                "stop-set", "version"}));
 }
 
 TEST(UnknownFlags, OnlyOptionRowsDefineTheAcceptedSet) {
@@ -432,7 +436,7 @@ TEST(UsageBlocks, DaemonAndClientBlocksListEveryFlagExactlyOnce) {
   } blocks[] = {
       {Tool::kDaemon,
        {"--socket", "--max-jobs N", "--max-jobs-per-tenant", "--tenant-pps",
-        "--tenant-burst", "--jobs", "--window", "--version"}},
+        "--tenant-burst", "--jobs", "--pps", "--burst", "--version"}},
       {Tool::kClient,
        {"--socket", "--tenant", "--output", "--status", "--metrics",
         "--cancel-after-lines", "--destinations", "--routes",

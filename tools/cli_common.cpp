@@ -337,8 +337,11 @@ std::string usage_text(Tool tool) {
              rows(fleet_option_table(), {"window"}) +
              rows(shared, {"version"}) + kClientTail;
     case Tool::kDaemon:
+      // A job's window comes from the client's spec, and the daemon
+      // writes no JSONL file: of the fleet block it takes only these.
       return kDaemonHead + block(daemon_option_table) +
-             block(fleet_option_table) + block(stop_set_option_table) +
+             rows(fleet_option_table(), {"jobs", "pps", "burst"}) +
+             block(stop_set_option_table) +
              rows(shared, {"version"}) + kDaemonTail;
   }
   throw ContractViolation("unknown tool");
