@@ -5,13 +5,17 @@
 // decoder (only throw ParseError).
 #include <cstdint>
 #include <optional>
+#include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "common/error.h"
 #include "common/rng.h"
 #include "daemon/protocol.h"
+#include "support/hex.h"
 
 namespace mmlpt::daemon {
 namespace {
@@ -122,6 +126,57 @@ TEST(FrameCodec, KnownFrameTypesAreKnown) {
   }
   EXPECT_FALSE(is_known_frame_type(0));
   EXPECT_FALSE(is_known_frame_type(255));
+}
+
+TEST(GoldenBytes, EveryFrameKindKeepsItsWireEncoding) {
+  // One whole encoded frame (length, type, CRC, payload) per frame
+  // kind. Round trips cannot see an encoder and decoder that drift
+  // together; these literals pin the bytes deployed peers exchange.
+  Hello hello;
+  hello.min_version = 1;
+  hello.max_version = 3;
+  hello.tenant = "team-alpha";
+  const std::pair<Frame, std::string_view> golden[] = {
+      {encode_hello(hello),
+       "1a00000001d56c335e4d4c504401000000030000000a000000746561"
+       "6d2d616c706861"},
+      {encode_job_request({981234, sample_spec()}),
+       "4d00000002ecc116e5f2f80e000000000006004d0000000000000032"
+       "7906000000000011000000000000000300000004000000020000000c"
+       "0000003139382e35312e3130302e370b0000003230332e302e313133"
+       "2e39"},
+      {encode_cancel({77}), "08000000035508bad74d00000000000000"},
+      {encode_status_request(), "000000000400000000"},
+      {encode_metrics_request(), "000000000500000000"},
+      {encode_hello_ack({1}), "040000001079b8f89901000000"},
+      {encode_progress({7, 12, 64, 5000}),
+       "20000000111f0b02e207000000000000000c00000000000000400000"
+       "00000000008813000000000000"},
+      {encode_result_line({9, R"({"index":0})"}),
+       "1700000012f4c9c3a809000000000000000b0000007b22696e646578"
+       "223a307d"},
+      {encode_stop_set_summary({3, R"({"consulted":true})"}),
+       "1e00000013720f16440300000000000000120000007b22636f6e7375"
+       "6c746564223a747275657d"},
+      {encode_job_status({11, JobOutcome::kCanceled, "because", 42, 4242}),
+       "24000000149a55eb150b000000000000000207000000626563617573"
+       "652a000000000000009210000000000000"},
+      {encode_error({"boom"}), "08000000158b08aae204000000626f6f6d"},
+      {encode_server_status({R"({"a":1})"}),
+       "0b00000016bed7cb89070000007b2261223a317d"},
+      {encode_metrics({"m 1\n"}), "08000000170156e136040000006d20310a"},
+  };
+  std::set<std::uint8_t> covered;
+  for (const auto& [frame, bytes] : golden) {
+    EXPECT_EQ(testing::to_hex(encode_frame(frame)), bytes)
+        << "frame type " << static_cast<int>(frame.type);
+    covered.insert(frame.type);
+  }
+  for (int type = 0; type < 256; ++type) {
+    EXPECT_EQ(covered.count(static_cast<std::uint8_t>(type)) == 1,
+              is_known_frame_type(static_cast<std::uint8_t>(type)))
+        << "frame type " << type;
+  }
 }
 
 TEST(PayloadCodec, HelloRoundTrips) {

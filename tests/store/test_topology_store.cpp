@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "support/hex.h"
 
 namespace mmlpt::store {
 namespace {
@@ -97,6 +98,18 @@ TEST(SnapshotCodec, HugeHopCountThrowsParseError) {
 TEST(SnapshotCodec, HugeDestinationCountThrowsParseError) {
   EXPECT_THROW((void)decode_snapshot(payload_claiming_huge_count(false)),
                ParseError);
+}
+
+TEST(TopologyStore, FileBytesKeepTheirOnDiskEncoding) {
+  // Header plus one block, byte for byte: caches written by earlier
+  // builds must keep loading, which a round trip alone cannot show.
+  TempPath file("store_golden.mtps");
+  TopologyStore::append(file.path, sample_snapshot());
+  EXPECT_EQ(testing::to_hex(read_file(file.path)),
+            "4d545053010000005c00000066829c7903000000040a00000100000000000000"
+            "00000000000100040a00000200000000000000000000000002000620010db800"
+            "0000000000000000000007030001000000040a09090900000000000000000000"
+            "00000c005901000000000000");
 }
 
 TEST(TopologyStore, MissingFileLoadsEmpty) {
