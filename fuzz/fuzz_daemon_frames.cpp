@@ -8,7 +8,9 @@
 //   * decode_frame either yields a frame, asks for more bytes, or
 //     throws ParseError — it never crashes, hangs, or over-allocates
 //     (kMaxFramePayload bounds every allocation);
-//   * typed decoders reject malformed payloads with ParseError only;
+//   * typed decoders reject malformed payloads with ParseError only, and
+//     the two shared text codecs (decode_text, decode_job_text) re-encode
+//     every payload they accept to the same bytes;
 //   * encode(decode(bytes)) == the decoded frame's bytes (round-trip
 //     stability for everything that was accepted).
 //
@@ -51,23 +53,27 @@ void check_typed_decoders(const Frame& frame) {
         (void)decode_progress(frame);
         break;
       case FrameType::kResultLine:
-        (void)decode_result_line(frame);
+      case FrameType::kStopSetSummary: {
+        // The shared text codecs re-encode what they accepted exactly.
+        const auto decoded = decode_job_text(frame);
+        const auto type = static_cast<FrameType>(frame.type);
+        if (!(encode_job_text(type, decoded.job_id, decoded.text) == frame)) {
+          __builtin_trap();
+        }
         break;
-      case FrameType::kStopSetSummary:
-        (void)decode_stop_set_summary(frame);
-        break;
+      }
       case FrameType::kJobStatus:
         (void)decode_job_status(frame);
         break;
       case FrameType::kError:
-        (void)decode_error(frame);
-        break;
       case FrameType::kServerStatus:
-        (void)decode_server_status(frame);
+      case FrameType::kMetrics: {
+        const auto type = static_cast<FrameType>(frame.type);
+        if (!(encode_text(type, decode_text(frame)) == frame)) {
+          __builtin_trap();
+        }
         break;
-      case FrameType::kMetrics:
-        (void)decode_metrics(frame);
-        break;
+      }
       default:
         break;  // kStatusRequest/kMetricsRequest carry no payload
     }

@@ -132,11 +132,15 @@ double binomial(unsigned n, unsigned k) noexcept {
   if (k > n) return 0.0;
   if (k > n - k) k = n - k;
   double result = 1.0;
-  for (unsigned i = 0; i < k; ++i) {
-    result *= static_cast<double>(n - i);
-    result /= static_cast<double>(i + 1);
-  }
+  for (unsigned j = 1; j <= k; ++j) result = binomial_step(result, n, j);
   return result;
+}
+
+double binomial_step(double previous, unsigned n, unsigned j) noexcept {
+  const auto factor = static_cast<double>(n - (j - 1));
+  const double product = previous * factor;
+  return std::isinf(product) ? previous / static_cast<double>(j) * factor
+                             : product / static_cast<double>(j);
 }
 
 }  // namespace mmlpt

@@ -103,8 +103,16 @@ class Histogram2D {
   std::uint64_t total_ = 0;
 };
 
-/// Exact binomial coefficient as double (n up to ~1000 without overflow).
+/// Binomial coefficient as double, finite wherever C(n, k) fits in one
+/// (every k up to n = 1029).
 [[nodiscard]] double binomial(unsigned n, unsigned k) noexcept;
+
+/// C(n, j) from `previous` = C(n, j - 1), j >= 1: the step binomial()
+/// repeats. It multiplies by n - j + 1, then divides by j; where that
+/// product overflows (n >~ 1020 near j = n/2) it divides first, so the
+/// coefficient stays finite and every product that fits is unchanged.
+[[nodiscard]] double binomial_step(double previous, unsigned n,
+                                   unsigned j) noexcept;
 
 }  // namespace mmlpt
 

@@ -10,6 +10,7 @@
 
 #include "common/assert.h"
 #include "common/mutex.h"
+#include "common/stats.h"
 
 namespace mmlpt::core {
 
@@ -104,18 +105,13 @@ double StoppingPoints::miss_probability(int n, int successor_count) {
   // exactly also sidesteps the alternating sum's cancellation there.
   if (n < K) return 1.0;
   if (K == 1) return 0.0;
-  // C(K, j) for j <= K/2, built incrementally with the very operations
-  // binomial(K, j) performs, so each coefficient (and with it every n_k)
-  // is bit-identical to the direct formula; C(K, j) = C(K, K - j) above.
-  // From K ~ 1020 on, C(K, j - 1) * (K - j + 1) overflows although C(K, j)
-  // does not; dividing first keeps the coefficient finite there.
+  // C(K, j) for j <= K/2 (C(K, K - j) above), each from the last by
+  // binomial_step, the step binomial(K, j) repeats: every coefficient,
+  // and with it every n_k, is bit-identical to the direct formula.
   std::vector<double> choose(static_cast<std::size_t>(K / 2) + 1, 1.0);
   for (std::size_t j = 1; j < choose.size(); ++j) {
-    const auto factor = static_cast<double>(K - (j - 1));
-    const double product = choose[j - 1] * factor;
-    choose[j] = std::isinf(product)
-                    ? choose[j - 1] / static_cast<double>(j) * factor
-                    : product / static_cast<double>(j);
+    choose[j] = binomial_step(choose[j - 1], static_cast<unsigned>(K),
+                              static_cast<unsigned>(j));
   }
   double p = 0.0;
   for (int j = 1; j < K; ++j) {

@@ -66,7 +66,7 @@ void AdmissionController::instrument(obs::MetricsRegistry& registry) {
   active_gauge_ = registry.gauge("mmlpt_admission_jobs_active",
                                  "Jobs currently running in the daemon");
   // Mirror history accrued before instrumentation so registry and
-  // status_json() agree from the first scrape.
+  // write_status() agree from the first scrape.
   if (admitted_total_ > 0) admitted_counter_->add(admitted_total_);
   if (rejected_total_ > 0) rejected_counter_->add(rejected_total_);
   active_gauge_->set(active_total_);
@@ -90,12 +90,6 @@ std::uint64_t AdmissionController::jobs_admitted() const {
 std::uint64_t AdmissionController::jobs_rejected() const {
   MutexLock lock(mutex_);
   return rejected_total_;
-}
-
-std::string AdmissionController::status_json() const {
-  JsonWriter w;
-  write_status(w);
-  return std::move(w).take();
 }
 
 void AdmissionController::write_status(JsonWriter& w) const {

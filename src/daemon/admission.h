@@ -67,19 +67,14 @@ class AdmissionController {
   /// finishes — completed, canceled, or failed).
   void release(const std::string& tenant);
 
-  [[nodiscard]] const AdmissionLimits& limits() const noexcept {
-    return limits_;
-  }
   [[nodiscard]] int jobs_active() const;
   [[nodiscard]] std::uint64_t jobs_admitted() const;
   [[nodiscard]] std::uint64_t jobs_rejected() const;
 
   /// Serialise the whole admission state as a JSON object (limits,
-  /// totals, per-tenant counters including limiter grants).
-  [[nodiscard]] std::string status_json() const;
-
-  /// Same document, written into a caller-positioned JsonWriter (the
-  /// writer must be where a value is legal — e.g. right after a key).
+  /// totals, per-tenant counters including limiter grants) into a
+  /// caller-positioned JsonWriter (the writer must be where a value is
+  /// legal — e.g. right after a key).
   void write_status(JsonWriter& w) const;
 
   /// Register admission counters (admitted/rejected totals, active

@@ -45,19 +45,8 @@ Client::Client(const std::string& socket_path, const std::string& tenant)
     Hello hello;
     hello.tenant = tenant;
     write_frame(fd_, encode_hello(hello));
-    for (;;) {
-      const auto frame = read_frame(/*wake_fd=*/-1);
-      if (!is_known_frame_type(frame->type)) continue;  // forward compat
-      if (frame->type == static_cast<std::uint8_t>(FrameType::kError)) {
-        throw Error("daemon refused handshake: " +
-                    decode_error(*frame).message);
-      }
-      if (frame->type == static_cast<std::uint8_t>(FrameType::kHelloAck)) {
-        version_ = decode_hello_ack(*frame).version;
-        return;
-      }
-      // Anything else before the ack is a confused daemon; keep reading.
-    }
+    version_ = decode_hello_ack(
+        await_reply(FrameType::kHelloAck, "daemon refused handshake"));
   } catch (...) {
     ::close(fd_);
     throw;
@@ -100,7 +89,7 @@ ClientJobResult Client::run_job(const FleetJobSpec& spec,
   int wake_fd = options.cancel_fd;
   const auto send_cancel_once = [&] {
     if (cancel_sent) return;
-    write_frame(fd_, encode_cancel({job_id}));
+    write_frame(fd_, encode_cancel(job_id));
     cancel_sent = true;
   };
 
@@ -111,13 +100,12 @@ ClientJobResult Client::run_job(const FleetJobSpec& spec,
       send_cancel_once();
       continue;
     }
-    if (!is_known_frame_type(frame->type)) continue;
     switch (static_cast<FrameType>(frame->type)) {
       case FrameType::kResultLine: {
-        auto line = decode_result_line(*frame);
+        const auto line = decode_job_text(*frame);
         if (line.job_id != job_id) break;
         ++lines;
-        if (options.on_line) options.on_line(line.line);
+        if (options.on_line) options.on_line(line.text);
         if (options.cancel_after_lines > 0 &&
             lines >= options.cancel_after_lines) {
           send_cancel_once();
@@ -132,7 +120,7 @@ ClientJobResult Client::run_job(const FleetJobSpec& spec,
         break;
       }
       case FrameType::kStopSetSummary: {
-        auto summary = decode_stop_set_summary(*frame);
+        auto summary = decode_job_text(*frame);
         if (summary.job_id == job_id) {
           result.stop_set_summary = std::move(summary.text);
         }
@@ -148,40 +136,36 @@ ClientJobResult Client::run_job(const FleetJobSpec& spec,
         return result;
       }
       case FrameType::kError:
-        throw Error("daemon error: " + decode_error(*frame).message);
+        throw Error("daemon error: " + decode_text(*frame));
       default:
-        break;  // ServerStatus for someone else, stray handshake frames
+        break;  // stray replies and handshake frames, unknown kinds
     }
   }
 }
 
 std::string Client::server_status() {
-  write_frame(fd_, encode_status_request());
-  for (;;) {
-    const auto frame = read_frame(/*wake_fd=*/-1);
-    if (!is_known_frame_type(frame->type)) continue;
-    if (frame->type == static_cast<std::uint8_t>(FrameType::kServerStatus)) {
-      return decode_server_status(*frame).json;
-    }
-    if (frame->type == static_cast<std::uint8_t>(FrameType::kError)) {
-      throw Error("daemon error: " + decode_error(*frame).message);
-    }
-    // A stale ResultLine/JobStatus from a prior canceled job: skip.
-  }
+  write_frame(fd_,
+              {static_cast<std::uint8_t>(FrameType::kStatusRequest), ""});
+  return decode_text(await_reply(FrameType::kServerStatus, "daemon error"));
 }
 
 std::string Client::metrics() {
-  write_frame(fd_, encode_metrics_request());
+  write_frame(fd_,
+              {static_cast<std::uint8_t>(FrameType::kMetricsRequest), ""});
+  return decode_text(await_reply(FrameType::kMetrics, "daemon error"));
+}
+
+Frame Client::await_reply(FrameType reply, const char* refusal) {
   for (;;) {
-    const auto frame = read_frame(/*wake_fd=*/-1);
-    if (!is_known_frame_type(frame->type)) continue;
-    if (frame->type == static_cast<std::uint8_t>(FrameType::kMetrics)) {
-      return decode_metrics(*frame).text;
+    auto frame = read_frame(/*wake_fd=*/-1);
+    if (frame->type == static_cast<std::uint8_t>(reply)) {
+      return *std::move(frame);
     }
     if (frame->type == static_cast<std::uint8_t>(FrameType::kError)) {
-      throw Error("daemon error: " + decode_error(*frame).message);
+      throw Error(std::string(refusal) + ": " + decode_text(*frame));
     }
-    // A stale frame from a prior job: skip until the Metrics reply.
+    // A stale frame of an earlier canceled job, or a kind this build
+    // does not know: skip it.
   }
 }
 

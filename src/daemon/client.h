@@ -77,6 +77,10 @@ class Client {
   /// EOF. Frames of unknown type are returned too (callers skip them).
   [[nodiscard]] std::optional<Frame> read_frame(int wake_fd);
 
+  /// Read up to the next frame of type `reply` and return it, skipping
+  /// any other kind; an Error frame first throws Error("<refusal>: ...").
+  [[nodiscard]] Frame await_reply(FrameType reply, const char* refusal);
+
   int fd_ = -1;
   FrameReader reader_;
   std::uint32_t version_ = 0;

@@ -1,33 +1,36 @@
 #include "daemon/protocol.h"
 
+#include <algorithm>
+#include <initializer_list>
+
 #include "common/assert.h"
-#include "store/topology_store.h"
+#include "common/le_codec.h"
 
 namespace mmlpt::daemon {
 namespace {
 
-void put_u32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-  out.push_back(static_cast<char>((v >> 16) & 0xFF));
-  out.push_back(static_cast<char>((v >> 24) & 0xFF));
+using FrameKinds = std::initializer_list<FrameType>;
+constexpr FrameKinds kTextFrames = {
+    FrameType::kError, FrameType::kServerStatus, FrameType::kMetrics};
+constexpr FrameKinds kJobTextFrames = {FrameType::kResultLine,
+                                       FrameType::kStopSetSummary};
+
+bool is_one_of(FrameType type, FrameKinds kinds) {
+  return std::ranges::find(kinds, type) != kinds.end();
 }
 
-[[nodiscard]] std::uint32_t get_u32(const char* data) {
-  const auto* bytes = reinterpret_cast<const unsigned char*>(data);
-  return static_cast<std::uint32_t>(bytes[0]) |
-         (static_cast<std::uint32_t>(bytes[1]) << 8) |
-         (static_cast<std::uint32_t>(bytes[2]) << 16) |
-         (static_cast<std::uint32_t>(bytes[3]) << 24);
-}
-
-[[nodiscard]] PayloadReader reader_for(const Frame& frame, FrameType expect) {
-  if (frame.type != static_cast<std::uint8_t>(expect)) {
+/// A reader over `frame`'s payload, whose type must be one of `kinds`.
+[[nodiscard]] LeReader reader_for(const Frame& frame, FrameKinds kinds) {
+  if (!is_one_of(static_cast<FrameType>(frame.type), kinds)) {
     throw ParseError("frame type mismatch: got " +
-                     std::to_string(frame.type) + ", want " +
-                     std::to_string(static_cast<int>(expect)));
+                     std::to_string(frame.type));
   }
-  return PayloadReader(frame.payload);
+  return LeReader(frame.payload, "frame payload");
+}
+
+/// A frame of `type` whose payload is everything `w` wrote (consumed).
+[[nodiscard]] Frame frame_of(FrameType type, LeWriter& w) {
+  return {static_cast<std::uint8_t>(type), std::move(w).take()};
 }
 
 }  // namespace
@@ -54,21 +57,20 @@ bool is_known_frame_type(std::uint8_t type) noexcept {
 
 std::string encode_frame(const Frame& frame) {
   MMLPT_EXPECTS(frame.payload.size() <= kMaxFramePayload);
-  std::string out;
-  out.reserve(kFrameHeaderSize + frame.payload.size());
-  put_u32(out, static_cast<std::uint32_t>(frame.payload.size()));
-  out.push_back(static_cast<char>(frame.type));
-  put_u32(out, store::crc32(frame.payload));
-  out += frame.payload;
-  return out;
+  LeWriter out(kFrameHeaderSize + frame.payload.size());
+  out.u32(static_cast<std::uint32_t>(frame.payload.size()));
+  out.u8(frame.type);
+  out.u32(crc32(frame.payload));
+  out.bytes(frame.payload);
+  return std::move(out).take();
 }
 
 std::optional<Frame> decode_frame(std::string_view buffer,
                                   std::size_t& offset) {
   MMLPT_EXPECTS(offset <= buffer.size());
-  const std::size_t available = buffer.size() - offset;
-  if (available < kFrameHeaderSize) return std::nullopt;
-  const std::uint32_t length = get_u32(buffer.data() + offset);
+  LeReader in(buffer.substr(offset), "frame");
+  if (in.remaining() < kFrameHeaderSize) return std::nullopt;
+  const std::uint32_t length = in.u32();
   // Reject before waiting for the payload: a corrupt length must not
   // make the reader buffer (or "need") gigabytes.
   if (length > kMaxFramePayload) {
@@ -76,69 +78,16 @@ std::optional<Frame> decode_frame(std::string_view buffer,
                      " exceeds the " + std::to_string(kMaxFramePayload) +
                      "-byte cap");
   }
-  if (available < kFrameHeaderSize + length) return std::nullopt;
   Frame frame;
-  frame.type = static_cast<std::uint8_t>(buffer[offset + 4]);
-  const std::uint32_t crc = get_u32(buffer.data() + offset + 5);
-  frame.payload.assign(buffer.data() + offset + kFrameHeaderSize, length);
-  if (store::crc32(frame.payload) != crc) {
+  frame.type = in.u8();
+  const std::uint32_t crc = in.u32();
+  if (in.remaining() < length) return std::nullopt;
+  frame.payload.assign(in.bytes(length));
+  if (crc32(frame.payload) != crc) {
     throw ParseError("frame CRC mismatch (torn or corrupted stream)");
   }
-  offset += kFrameHeaderSize + length;
+  offset += in.consumed();
   return frame;
-}
-
-// ---- payload cursors ---------------------------------------------------
-
-void PayloadWriter::u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-
-void PayloadWriter::u32(std::uint32_t v) { put_u32(out_, v); }
-
-void PayloadWriter::u64(std::uint64_t v) {
-  u32(static_cast<std::uint32_t>(v & 0xFFFFFFFFULL));
-  u32(static_cast<std::uint32_t>(v >> 32));
-}
-
-void PayloadWriter::string(std::string_view v) {
-  MMLPT_EXPECTS(v.size() <= kMaxFramePayload);
-  u32(static_cast<std::uint32_t>(v.size()));
-  out_ += v;
-}
-
-std::uint8_t PayloadReader::u8() {
-  if (pos_ + 1 > data_.size()) throw ParseError("payload truncated (u8)");
-  return static_cast<std::uint8_t>(data_[pos_++]);
-}
-
-std::uint32_t PayloadReader::u32() {
-  if (pos_ + 4 > data_.size()) throw ParseError("payload truncated (u32)");
-  const std::uint32_t v = get_u32(data_.data() + pos_);
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t PayloadReader::u64() {
-  const std::uint64_t lo = u32();
-  const std::uint64_t hi = u32();
-  return lo | (hi << 32);
-}
-
-std::string PayloadReader::string() {
-  const std::uint32_t length = u32();
-  if (length > kMaxFramePayload || pos_ + length > data_.size()) {
-    throw ParseError("payload truncated (string of " +
-                     std::to_string(length) + " bytes)");
-  }
-  std::string v(data_.substr(pos_, length));
-  pos_ += length;
-  return v;
-}
-
-void PayloadReader::expect_end() const {
-  if (pos_ != data_.size()) {
-    throw ParseError("payload has " + std::to_string(data_.size() - pos_) +
-                     " trailing bytes");
-  }
 }
 
 // ---- frame payloads ----------------------------------------------------
@@ -153,44 +102,39 @@ std::optional<std::uint32_t> negotiate_version(const Hello& hello) noexcept {
 }
 
 Frame encode_hello(const Hello& hello) {
-  PayloadWriter w;
+  LeWriter w;
   w.u32(kProtocolMagic);
   w.u32(hello.min_version);
   w.u32(hello.max_version);
   w.string(hello.tenant);
-  return {static_cast<std::uint8_t>(FrameType::kHello), std::move(w).take()};
+  return frame_of(FrameType::kHello, w);
 }
 
 Hello decode_hello(const Frame& frame) {
-  auto r = reader_for(frame, FrameType::kHello);
+  auto r = reader_for(frame, {FrameType::kHello});
   if (r.u32() != kProtocolMagic) {
     throw ParseError("hello magic mismatch: not an mmlptd client");
   }
-  Hello hello;
-  hello.min_version = r.u32();
-  hello.max_version = r.u32();
-  hello.tenant = r.string();
+  Hello hello{r.u32(), r.u32(), r.string()};  // read left to right
   r.expect_end();
   return hello;
 }
 
-Frame encode_hello_ack(const HelloAck& ack) {
-  PayloadWriter w;
-  w.u32(ack.version);
-  return {static_cast<std::uint8_t>(FrameType::kHelloAck),
-          std::move(w).take()};
+Frame encode_hello_ack(std::uint32_t version) {
+  LeWriter w;
+  w.u32(version);
+  return frame_of(FrameType::kHelloAck, w);
 }
 
-HelloAck decode_hello_ack(const Frame& frame) {
-  auto r = reader_for(frame, FrameType::kHelloAck);
-  HelloAck ack;
-  ack.version = r.u32();
+std::uint32_t decode_hello_ack(const Frame& frame) {
+  auto r = reader_for(frame, {FrameType::kHelloAck});
+  const auto version = r.u32();
   r.expect_end();
-  return ack;
+  return version;
 }
 
 Frame encode_job_request(const JobRequest& request) {
-  PayloadWriter w;
+  LeWriter w;
   w.u64(request.job_id);
   w.u8(static_cast<std::uint8_t>(request.spec.family));
   w.u8(static_cast<std::uint8_t>(request.spec.algorithm));
@@ -201,12 +145,11 @@ Frame encode_job_request(const JobRequest& request) {
   w.u32(static_cast<std::uint32_t>(request.spec.window));
   w.u32(static_cast<std::uint32_t>(request.spec.labels.size()));
   for (const auto& label : request.spec.labels) w.string(label);
-  return {static_cast<std::uint8_t>(FrameType::kJobRequest),
-          std::move(w).take()};
+  return frame_of(FrameType::kJobRequest, w);
 }
 
 JobRequest decode_job_request(const Frame& frame) {
-  auto r = reader_for(frame, FrameType::kJobRequest);
+  auto r = reader_for(frame, {FrameType::kJobRequest});
   JobRequest request;
   request.job_id = r.u64();
   const auto family = r.u8();
@@ -232,7 +175,7 @@ JobRequest decode_job_request(const Frame& frame) {
   // Each label costs at least its 4-byte length prefix, so a count the
   // remaining payload cannot hold is torn — reject it BEFORE reserve()
   // turns a corrupt u32 into a multi-gigabyte allocation.
-  if (label_count > (frame.payload.size() - r.consumed()) / 4) {
+  if (label_count > r.remaining() / 4) {
     throw ParseError("job request: label count " +
                      std::to_string(label_count) +
                      " exceeds the payload");
@@ -245,153 +188,87 @@ JobRequest decode_job_request(const Frame& frame) {
   return request;
 }
 
-Frame encode_cancel(const CancelRequest& cancel) {
-  PayloadWriter w;
-  w.u64(cancel.job_id);
-  return {static_cast<std::uint8_t>(FrameType::kCancel), std::move(w).take()};
+Frame encode_cancel(std::uint64_t job_id) {
+  LeWriter w;
+  w.u64(job_id);
+  return frame_of(FrameType::kCancel, w);
 }
 
-CancelRequest decode_cancel(const Frame& frame) {
-  auto r = reader_for(frame, FrameType::kCancel);
-  CancelRequest cancel;
-  cancel.job_id = r.u64();
+std::uint64_t decode_cancel(const Frame& frame) {
+  auto r = reader_for(frame, {FrameType::kCancel});
+  const auto job_id = r.u64();
   r.expect_end();
-  return cancel;
-}
-
-Frame encode_status_request() {
-  return {static_cast<std::uint8_t>(FrameType::kStatusRequest), ""};
+  return job_id;
 }
 
 Frame encode_progress(const Progress& progress) {
-  PayloadWriter w;
+  LeWriter w;
   w.u64(progress.job_id);
   w.u64(progress.completed);
   w.u64(progress.total);
   w.u64(progress.packets);
-  return {static_cast<std::uint8_t>(FrameType::kProgress),
-          std::move(w).take()};
+  return frame_of(FrameType::kProgress, w);
 }
 
 Progress decode_progress(const Frame& frame) {
-  auto r = reader_for(frame, FrameType::kProgress);
-  Progress progress;
-  progress.job_id = r.u64();
-  progress.completed = r.u64();
-  progress.total = r.u64();
-  progress.packets = r.u64();
+  auto r = reader_for(frame, {FrameType::kProgress});
+  const Progress progress{r.u64(), r.u64(), r.u64(), r.u64()};
   r.expect_end();
   return progress;
 }
 
-Frame encode_result_line(const ResultLine& line) {
-  PayloadWriter w;
-  w.u64(line.job_id);
-  w.string(line.line);
-  return {static_cast<std::uint8_t>(FrameType::kResultLine),
-          std::move(w).take()};
-}
-
-ResultLine decode_result_line(const Frame& frame) {
-  auto r = reader_for(frame, FrameType::kResultLine);
-  ResultLine line;
-  line.job_id = r.u64();
-  line.line = r.string();
-  r.expect_end();
-  return line;
-}
-
-Frame encode_stop_set_summary(const StopSetSummary& summary) {
-  PayloadWriter w;
-  w.u64(summary.job_id);
-  w.string(summary.text);
-  return {static_cast<std::uint8_t>(FrameType::kStopSetSummary),
-          std::move(w).take()};
-}
-
-StopSetSummary decode_stop_set_summary(const Frame& frame) {
-  auto r = reader_for(frame, FrameType::kStopSetSummary);
-  StopSetSummary summary;
-  summary.job_id = r.u64();
-  summary.text = r.string();
-  r.expect_end();
-  return summary;
-}
-
 Frame encode_job_status(const JobStatus& status) {
-  PayloadWriter w;
+  LeWriter w;
   w.u64(status.job_id);
   w.u8(static_cast<std::uint8_t>(status.outcome));
   w.string(status.message);
   w.u64(status.lines);
   w.u64(status.packets);
-  return {static_cast<std::uint8_t>(FrameType::kJobStatus),
-          std::move(w).take()};
+  return frame_of(FrameType::kJobStatus, w);
 }
 
 JobStatus decode_job_status(const Frame& frame) {
-  auto r = reader_for(frame, FrameType::kJobStatus);
-  JobStatus status;
-  status.job_id = r.u64();
+  auto r = reader_for(frame, {FrameType::kJobStatus});
+  const auto job_id = r.u64();
   const auto outcome = r.u8();
   if (outcome > static_cast<std::uint8_t>(JobOutcome::kFailed)) {
     throw ParseError("job status: bad outcome tag " +
                      std::to_string(outcome));
   }
-  status.outcome = static_cast<JobOutcome>(outcome);
-  status.message = r.string();
-  status.lines = r.u64();
-  status.packets = r.u64();
+  JobStatus status{job_id, static_cast<JobOutcome>(outcome), r.string(),
+                   r.u64(), r.u64()};
   r.expect_end();
   return status;
 }
 
-Frame encode_error(const ErrorFrame& error) {
-  PayloadWriter w;
-  w.string(error.message);
-  return {static_cast<std::uint8_t>(FrameType::kError), std::move(w).take()};
+Frame encode_text(FrameType type, std::string_view text) {
+  MMLPT_EXPECTS(is_one_of(type, kTextFrames));
+  LeWriter w;
+  w.string(text);
+  return frame_of(type, w);
 }
 
-ErrorFrame decode_error(const Frame& frame) {
-  auto r = reader_for(frame, FrameType::kError);
-  ErrorFrame error;
-  error.message = r.string();
+std::string decode_text(const Frame& frame) {
+  auto r = reader_for(frame, kTextFrames);
+  std::string text = r.string();
   r.expect_end();
-  return error;
+  return text;
 }
 
-Frame encode_server_status(const ServerStatus& status) {
-  PayloadWriter w;
-  w.string(status.json);
-  return {static_cast<std::uint8_t>(FrameType::kServerStatus),
-          std::move(w).take()};
+Frame encode_job_text(FrameType type, std::uint64_t job_id,
+                      std::string_view text) {
+  MMLPT_EXPECTS(is_one_of(type, kJobTextFrames));
+  LeWriter w;
+  w.u64(job_id);
+  w.string(text);
+  return frame_of(type, w);
 }
 
-ServerStatus decode_server_status(const Frame& frame) {
-  auto r = reader_for(frame, FrameType::kServerStatus);
-  ServerStatus status;
-  status.json = r.string();
+JobText decode_job_text(const Frame& frame) {
+  auto r = reader_for(frame, kJobTextFrames);
+  JobText job_text{r.u64(), r.string()};
   r.expect_end();
-  return status;
-}
-
-Frame encode_metrics_request() {
-  return {static_cast<std::uint8_t>(FrameType::kMetricsRequest), ""};
-}
-
-Frame encode_metrics(const MetricsText& metrics) {
-  PayloadWriter w;
-  w.string(metrics.text);
-  return {static_cast<std::uint8_t>(FrameType::kMetrics),
-          std::move(w).take()};
-}
-
-MetricsText decode_metrics(const Frame& frame) {
-  auto r = reader_for(frame, FrameType::kMetrics);
-  MetricsText metrics;
-  metrics.text = r.string();
-  r.expect_end();
-  return metrics;
+  return job_text;
 }
 
 }  // namespace mmlpt::daemon

@@ -18,9 +18,12 @@
 //     and a client outside the daemon's supported range is refused with
 //     an Error frame before any job state exists.
 //
-// The payload of each frame kind is encoded with the PayloadWriter /
-// PayloadReader cursor helpers below; every decode_* rejects trailing
-// bytes, so frames cannot smuggle data past the schema.
+// Frames and payloads are written with LeWriter and read with LeReader
+// (common/le_codec.h, shared with the topology store); every decode_*
+// rejects trailing bytes, so frames cannot smuggle data past the schema.
+// The five text-carrying kinds share two payload shapes, each with one
+// codec keyed by FrameType: a bare string (Error, ServerStatus, Metrics)
+// and a job id plus a string (ResultLine, StopSetSummary).
 #ifndef MMLPT_DAEMON_PROTOCOL_H
 #define MMLPT_DAEMON_PROTOCOL_H
 
@@ -83,55 +86,12 @@ struct Frame {
 [[nodiscard]] std::optional<Frame> decode_frame(std::string_view buffer,
                                                 std::size_t& offset);
 
-// ---- payload cursors ---------------------------------------------------
-
-/// Append-only little-endian payload builder.
-class PayloadWriter {
- public:
-  void u8(std::uint8_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  /// u32 length prefix + raw bytes.
-  void string(std::string_view v);
-
-  [[nodiscard]] std::string take() && { return std::move(out_); }
-
- private:
-  std::string out_;
-};
-
-/// Bounds-checked little-endian payload cursor; every read past the end
-/// is a ParseError.
-class PayloadReader {
- public:
-  explicit PayloadReader(std::string_view data) : data_(data) {}
-
-  [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
-  [[nodiscard]] std::string string();
-  /// Throws ParseError unless the whole payload was consumed.
-  void expect_end() const;
-
-  /// Bytes read so far (decoders use the remainder to bound counts
-  /// before pre-allocating for them).
-  [[nodiscard]] std::size_t consumed() const noexcept { return pos_; }
-
- private:
-  std::string_view data_;
-  std::size_t pos_ = 0;
-};
-
 // ---- frame payloads ----------------------------------------------------
 
 struct Hello {
   std::uint32_t min_version = kProtocolVersion;
   std::uint32_t max_version = kProtocolVersion;
   std::string tenant;  ///< rate-limit / admission accounting identity
-};
-
-struct HelloAck {
-  std::uint32_t version = kProtocolVersion;
 };
 
 /// The version the daemon will speak with a client advertising
@@ -144,10 +104,6 @@ struct JobRequest {
   FleetJobSpec spec;
 };
 
-struct CancelRequest {
-  std::uint64_t job_id = 0;
-};
-
 struct Progress {
   std::uint64_t job_id = 0;
   std::uint64_t completed = 0;  ///< destinations merged so far
@@ -155,16 +111,11 @@ struct Progress {
   std::uint64_t packets = 0;
 };
 
-struct ResultLine {
+/// A kResultLine or kStopSetSummary payload: one JSONL destination line
+/// without its newline, or the job's stop-set summary (the "stop_set"
+/// object of mmlpt_fleet's stderr line, which mmlpt_client prints).
+struct JobText {
   std::uint64_t job_id = 0;
-  std::string line;  ///< one JSONL destination line, no trailing newline
-};
-
-struct StopSetSummary {
-  std::uint64_t job_id = 0;
-  /// The job's stop-set summary, the JSON object that
-  /// StopSetSession::write_summary renders (the "stop_set" object of
-  /// mmlpt_fleet's stderr summary line); mmlpt_client prints it to stderr.
   std::string text;
 };
 
@@ -183,42 +134,32 @@ struct JobStatus {
   std::uint64_t packets = 0;
 };
 
-struct ErrorFrame {
-  std::string message;
-};
-
-struct ServerStatus {
-  std::string json;  ///< machine-parsable daemon status document
-};
-
-struct MetricsText {
-  std::string text;  ///< Prometheus text exposition of the daemon registry
-};
-
+// kStatusRequest and kMetricsRequest carry no payload.
 [[nodiscard]] Frame encode_hello(const Hello& hello);
 [[nodiscard]] Hello decode_hello(const Frame& frame);
-[[nodiscard]] Frame encode_hello_ack(const HelloAck& ack);
-[[nodiscard]] HelloAck decode_hello_ack(const Frame& frame);
+/// HelloAck: the negotiated version.
+[[nodiscard]] Frame encode_hello_ack(std::uint32_t version);
+[[nodiscard]] std::uint32_t decode_hello_ack(const Frame& frame);
 [[nodiscard]] Frame encode_job_request(const JobRequest& request);
 [[nodiscard]] JobRequest decode_job_request(const Frame& frame);
-[[nodiscard]] Frame encode_cancel(const CancelRequest& cancel);
-[[nodiscard]] CancelRequest decode_cancel(const Frame& frame);
-[[nodiscard]] Frame encode_status_request();
+/// Cancel: the id of the job to stop.
+[[nodiscard]] Frame encode_cancel(std::uint64_t job_id);
+[[nodiscard]] std::uint64_t decode_cancel(const Frame& frame);
 [[nodiscard]] Frame encode_progress(const Progress& progress);
 [[nodiscard]] Progress decode_progress(const Frame& frame);
-[[nodiscard]] Frame encode_result_line(const ResultLine& line);
-[[nodiscard]] ResultLine decode_result_line(const Frame& frame);
-[[nodiscard]] Frame encode_stop_set_summary(const StopSetSummary& summary);
-[[nodiscard]] StopSetSummary decode_stop_set_summary(const Frame& frame);
 [[nodiscard]] Frame encode_job_status(const JobStatus& status);
 [[nodiscard]] JobStatus decode_job_status(const Frame& frame);
-[[nodiscard]] Frame encode_error(const ErrorFrame& error);
-[[nodiscard]] ErrorFrame decode_error(const Frame& frame);
-[[nodiscard]] Frame encode_server_status(const ServerStatus& status);
-[[nodiscard]] ServerStatus decode_server_status(const Frame& frame);
-[[nodiscard]] Frame encode_metrics_request();
-[[nodiscard]] Frame encode_metrics(const MetricsText& metrics);
-[[nodiscard]] MetricsText decode_metrics(const Frame& frame);
+
+/// kError (a refusal or protocol error message), kServerStatus (the
+/// daemon's JSON status document) or kMetrics (its Prometheus text
+/// exposition): one length-prefixed string.
+[[nodiscard]] Frame encode_text(FrameType type, std::string_view text);
+[[nodiscard]] std::string decode_text(const Frame& frame);
+/// kResultLine or kStopSetSummary: the job id, then a length-prefixed
+/// string.
+[[nodiscard]] Frame encode_job_text(FrameType type, std::uint64_t job_id,
+                                    std::string_view text);
+[[nodiscard]] JobText decode_job_text(const Frame& frame);
 
 }  // namespace mmlpt::daemon
 

@@ -321,7 +321,8 @@ void Daemon::read_frames(Connection& connection, bool readable) {
   } catch (const ParseError& e) {
     // Torn/oversized frame or schema violation: the stream cannot be
     // resynchronized. Tell the peer why, then drop the connection.
-    connection.queue(encode_error({std::string("protocol error: ") + e.what()}),
+    connection.queue(encode_text(FrameType::kError,
+                                 std::string("protocol error: ") + e.what()),
                      false);
     connection.reading = false;
   } catch (const std::exception&) {
@@ -343,15 +344,17 @@ void Daemon::handle_frame(Connection& connection, const Frame& frame) {
     case FrameType::kCancel:
       // An unknown id means the job already finished: nothing to do.
       if (connection.cancel &&
-          connection.job_id == decode_cancel(frame).job_id) {
+          connection.job_id == decode_cancel(frame)) {
         connection.cancel->request();
       }
       return;
     case FrameType::kStatusRequest:
-      connection.queue(encode_server_status({status_json()}), false);
+      connection.queue(encode_text(FrameType::kServerStatus, status_json()),
+                       false);
       return;
     case FrameType::kMetricsRequest:
-      connection.queue(encode_metrics({metrics_.render()}), false);
+      connection.queue(encode_text(FrameType::kMetrics, metrics_.render()),
+                       false);
       return;
     default:
       // A duplicate hello or a daemon->client frame from a client:
@@ -370,7 +373,7 @@ void Daemon::greet(Connection& connection, const Frame& frame) {
     if (const auto version = negotiate_version(hello)) {
       connection.tenant = hello.tenant.empty() ? "default" : hello.tenant;
       connection.greeted = true;
-      connection.queue(encode_hello_ack({*version}), false);
+      connection.queue(encode_hello_ack(*version), false);
       return;
     }
     refusal = "unsupported protocol version: daemon speaks " +
@@ -378,7 +381,7 @@ void Daemon::greet(Connection& connection, const Frame& frame) {
               std::to_string(hello.min_version) + ", " +
               std::to_string(hello.max_version) + "]";
   }
-  connection.queue(encode_error({refusal}), false);
+  connection.queue(encode_text(FrameType::kError, refusal), false);
   connection.reading = false;
 }
 
@@ -440,7 +443,7 @@ void Daemon::run_job(Connection& connection, const JobRequest& request,
   hooks.cancel = connection.cancel.get();
   hooks.on_line = [&](std::size_t, std::string line) {
     ++status.lines;
-    send(encode_result_line({request.job_id, std::move(line)}));
+    send(encode_job_text(FrameType::kResultLine, request.job_id, line));
   };
   hooks.on_progress = [&](std::uint64_t merged,
                           const FleetJobCounters& so_far) {
@@ -458,7 +461,8 @@ void Daemon::run_job(Connection& connection, const JobRequest& request,
       stop_set_session_.write_summary(summary,
                                       counters.probes_saved_by_stop_set,
                                       counters.traces_stopped);
-      send(encode_stop_set_summary({request.job_id, summary.view()}));
+      send(encode_job_text(FrameType::kStopSetSummary, request.job_id,
+                           summary.view()));
     }
     status.packets = counters.packets;
     jobs_completed_->add();

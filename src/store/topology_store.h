@@ -7,8 +7,9 @@
 //   header:  u32 magic "MTPS"   u32 version
 //   block*:  u32 payload_len    u32 crc32(payload)   payload bytes
 //
-// Every integer is little-endian. A block's payload is one
-// TopologySnapshot delta:
+// Every integer is little-endian, written and read with the shared
+// LeWriter/LeReader and crc32 of common/le_codec.h (the daemon's frames
+// use the same codec). A block's payload is one TopologySnapshot delta:
 //
 //   u32 hop_count    { u8 family(4|6)  16 addr bytes  u16 distance }*
 //   u32 dest_count   { u8 family  16 addr bytes  u16 distance  u64 probes }*
@@ -61,9 +62,6 @@ struct TopologySnapshot {
     return hops.empty() && destinations.empty();
   }
 };
-
-/// CRC-32 (IEEE 802.3, reflected) — the block checksum.
-[[nodiscard]] std::uint32_t crc32(std::string_view data);
 
 /// Serialize / parse one block payload. decode throws ParseError on any
 /// structural violation (bad family tag, short buffer, trailing bytes).

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/error.h"
 
 namespace mmlpt {
@@ -105,6 +107,22 @@ TEST(Binomial, KnownValues) {
   EXPECT_DOUBLE_EQ(binomial(10, 3), 120.0);
   EXPECT_DOUBLE_EQ(binomial(3, 7), 0.0);
   EXPECT_NEAR(binomial(96, 48), 6.435067013866298e27, 1e13);
+}
+
+TEST(Binomial, StaysFiniteWhereTheProductFirstOverflows) {
+  // From n ~ 1021 on, C(n, j - 1) * (n - j + 1) exceeds the double range
+  // near j = n/2 although C(n, j) does not; C(1029, 514) ~ 1.43e308 is
+  // the largest central coefficient a double holds.
+  for (const unsigned n : {1021u, 1024u, 1029u}) {
+    const unsigned k = n / 2;
+    const double reference = std::exp(std::lgamma(n + 1.0) -
+                                      std::lgamma(k + 1.0) -
+                                      std::lgamma(n - k + 1.0));
+    const double value = binomial(n, k);
+    ASSERT_TRUE(std::isfinite(value)) << "n=" << n;
+    EXPECT_NEAR(value / reference, 1.0, 1e-9) << "n=" << n;
+  }
+  EXPECT_TRUE(std::isinf(binomial(1030, 515)));
 }
 
 }  // namespace

@@ -188,8 +188,9 @@ TEST(StoppingPoints, TableEqualsTheDirectFormula) {
   }
 }
 
-/// P(n, K) in log space: no coefficient overflows at any K, so this is
-/// the reference where binomial(K, j) itself overflows (K >~ 1020).
+/// P(n, K) in log space: an independent reference for large K, where
+/// the coefficients near C(K, K/2) reach the top of the double range
+/// (C(1024, 512) ~ 4.5e306).
 double log_space_miss_probability(int n, int K) {
   double p = 0.0;
   for (int j = 1; j < K; ++j) {

@@ -25,6 +25,7 @@
 #include <cstring>
 
 #include "common/error.h"
+#include "common/json.h"
 #include "daemon/admission.h"
 #include "daemon/client.h"
 #include "daemon/fleet_job.h"
@@ -110,7 +111,9 @@ TEST(Admission, EnforcesTotalAndPerTenantCapsAndCounts) {
   EXPECT_TRUE(admission.try_admit("c").admitted);
   EXPECT_EQ(admission.jobs_active(), 3);
 
-  const auto status = admission.status_json();
+  JsonWriter writer;
+  admission.write_status(writer);
+  const std::string& status = writer.view();
   EXPECT_NE(status.find("\"jobs_admitted\":4"), std::string::npos);
   EXPECT_NE(status.find("\"jobs_rejected\":2"), std::string::npos);
   EXPECT_NE(status.find("\"tenant\":\"a\""), std::string::npos);
@@ -319,8 +322,8 @@ class RawConnection {
     for (;;) {
       const auto frame = next();
       if (frame.type == static_cast<std::uint8_t>(FrameType::kResultLine)) {
-        auto line = decode_result_line(frame);
-        if (line.job_id == job_id) lines.push_back(std::move(line.line));
+        auto line = decode_job_text(frame);
+        if (line.job_id == job_id) lines.push_back(std::move(line.text));
       } else if (frame.type ==
                  static_cast<std::uint8_t>(FrameType::kJobStatus)) {
         auto status = decode_job_status(frame);
@@ -404,7 +407,8 @@ TEST(DaemonE2E, ClientThatNeverReadsStallsNoOtherTenant) {
   // daemon's outbox cap hold: the daemon must stop reading this client
   // rather than block on it or buffer without bound.
   RawConnection flood(config.socket_path);
-  flood.send_together(std::vector<Frame>(4000, encode_status_request()));
+  flood.send_together(std::vector<Frame>(
+      4000, {static_cast<std::uint8_t>(FrameType::kStatusRequest), ""}));
 
   const auto spec = small_spec(8, 5);
   const auto other = run_client_job(config.socket_path, "reader", spec);

@@ -145,26 +145,31 @@ TEST(GoldenBytes, EveryFrameKindKeepsItsWireEncoding) {
        "7906000000000011000000000000000300000004000000020000000c"
        "0000003139382e35312e3130302e370b0000003230332e302e313133"
        "2e39"},
-      {encode_cancel({77}), "08000000035508bad74d00000000000000"},
-      {encode_status_request(), "000000000400000000"},
-      {encode_metrics_request(), "000000000500000000"},
-      {encode_hello_ack({1}), "040000001079b8f89901000000"},
+      {encode_cancel(77), "08000000035508bad74d00000000000000"},
+      {{static_cast<std::uint8_t>(FrameType::kStatusRequest), ""},
+       "000000000400000000"},
+      {{static_cast<std::uint8_t>(FrameType::kMetricsRequest), ""},
+       "000000000500000000"},
+      {encode_hello_ack(1), "040000001079b8f89901000000"},
       {encode_progress({7, 12, 64, 5000}),
        "20000000111f0b02e207000000000000000c00000000000000400000"
        "00000000008813000000000000"},
-      {encode_result_line({9, R"({"index":0})"}),
+      {encode_job_text(FrameType::kResultLine, 9, R"({"index":0})"),
        "1700000012f4c9c3a809000000000000000b0000007b22696e646578"
        "223a307d"},
-      {encode_stop_set_summary({3, R"({"consulted":true})"}),
+      {encode_job_text(FrameType::kStopSetSummary, 3,
+                       R"({"consulted":true})"),
        "1e00000013720f16440300000000000000120000007b22636f6e7375"
        "6c746564223a747275657d"},
       {encode_job_status({11, JobOutcome::kCanceled, "because", 42, 4242}),
        "24000000149a55eb150b000000000000000207000000626563617573"
        "652a000000000000009210000000000000"},
-      {encode_error({"boom"}), "08000000158b08aae204000000626f6f6d"},
-      {encode_server_status({R"({"a":1})"}),
+      {encode_text(FrameType::kError, "boom"),
+       "08000000158b08aae204000000626f6f6d"},
+      {encode_text(FrameType::kServerStatus, R"({"a":1})"),
        "0b00000016bed7cb89070000007b2261223a317d"},
-      {encode_metrics({"m 1\n"}), "08000000170156e136040000006d20310a"},
+      {encode_text(FrameType::kMetrics, "m 1\n"),
+       "08000000170156e136040000006d20310a"},
   };
   std::set<std::uint8_t> covered;
   for (const auto& [frame, bytes] : golden) {
@@ -188,6 +193,8 @@ TEST(PayloadCodec, HelloRoundTrips) {
   EXPECT_EQ(decoded.min_version, 1u);
   EXPECT_EQ(decoded.max_version, 3u);
   EXPECT_EQ(decoded.tenant, "team-alpha");
+  EXPECT_EQ(decode_hello_ack(encode_hello_ack(kProtocolVersion)),
+            kProtocolVersion);
 }
 
 TEST(PayloadCodec, HelloMagicMismatchIsAParseError) {
@@ -218,16 +225,21 @@ TEST(PayloadCodec, ProgressAndResultLineAndSummaryRoundTrip) {
   EXPECT_EQ(p.total, 64u);
   EXPECT_EQ(p.packets, 5000u);
 
-  const ResultLine line{9, R"({"index":0,"destination":"10.0.0.1"})"};
-  const auto l = decode_result_line(encode_result_line(line));
+  const std::string line = R"({"index":0,"destination":"10.0.0.1"})";
+  const auto l =
+      decode_job_text(encode_job_text(FrameType::kResultLine, 9, line));
   EXPECT_EQ(l.job_id, 9u);
-  EXPECT_EQ(l.line, line.line);
+  EXPECT_EQ(l.text, line);
 
-  const StopSetSummary summary{
-      3, R"({"consulted":true,"visible_hops":10,"union_digest":"00ff"})"};
-  const auto s = decode_stop_set_summary(encode_stop_set_summary(summary));
+  const std::string summary =
+      R"({"consulted":true,"visible_hops":10,"union_digest":"00ff"})";
+  const Frame summary_frame =
+      encode_job_text(FrameType::kStopSetSummary, 3, summary);
+  EXPECT_EQ(summary_frame.type,
+            static_cast<std::uint8_t>(FrameType::kStopSetSummary));
+  const auto s = decode_job_text(summary_frame);
   EXPECT_EQ(s.job_id, 3u);
-  EXPECT_EQ(s.text, summary.text);
+  EXPECT_EQ(s.text, summary);
 }
 
 TEST(PayloadCodec, JobStatusRoundTripsEveryOutcome) {
@@ -244,17 +256,15 @@ TEST(PayloadCodec, JobStatusRoundTripsEveryOutcome) {
 }
 
 TEST(PayloadCodec, CancelErrorServerStatusRoundTrip) {
-  EXPECT_EQ(decode_cancel(encode_cancel({77})).job_id, 77u);
-  EXPECT_EQ(decode_error(encode_error({"boom"})).message, "boom");
-  EXPECT_EQ(decode_server_status(encode_server_status({"{\"a\":1}"})).json,
+  EXPECT_EQ(decode_cancel(encode_cancel(77)), 77u);
+  EXPECT_EQ(decode_text(encode_text(FrameType::kError, "boom")), "boom");
+  EXPECT_EQ(decode_text(encode_text(FrameType::kServerStatus, "{\"a\":1}")),
             "{\"a\":1}");
 }
 
 TEST(PayloadCodec, MetricsRequestAndMetricsRoundTrip) {
-  const Frame request = encode_metrics_request();
-  EXPECT_EQ(request.type,
-            static_cast<std::uint8_t>(FrameType::kMetricsRequest));
-  EXPECT_TRUE(request.payload.empty());
+  const Frame request{static_cast<std::uint8_t>(FrameType::kMetricsRequest),
+                      ""};
   EXPECT_EQ(round_trip(request), request);
 
   // A realistic multi-line Prometheus exposition, embedded quotes and
@@ -264,13 +274,27 @@ TEST(PayloadCodec, MetricsRequestAndMetricsRoundTrip) {
       "transport\n"
       "# TYPE mmlpt_transport_probes_sent_total counter\n"
       "mmlpt_transport_probes_sent_total{transport=\"poll\"} 4242\n";
-  const auto decoded = decode_metrics(encode_metrics({exposition}));
-  EXPECT_EQ(decoded.text, exposition);
-  EXPECT_EQ(decode_metrics(encode_metrics({""})).text, "");
+  EXPECT_EQ(decode_text(encode_text(FrameType::kMetrics, exposition)),
+            exposition);
+  EXPECT_EQ(decode_text(encode_text(FrameType::kMetrics, "")), "");
+}
+
+TEST(PayloadCodec, TextCodecsAcceptOnlyTheirKinds) {
+  // The two shared text codecs are keyed by frame type: each decodes
+  // only its own kinds and refuses to encode any other.
+  const Frame line = encode_job_text(FrameType::kResultLine, 1, "x");
+  const Frame error = encode_text(FrameType::kError, "x");
+  EXPECT_THROW((void)decode_text(line), ParseError);
+  EXPECT_THROW((void)decode_job_text(error), ParseError);
+  EXPECT_THROW((void)decode_text(encode_cancel(1)), ParseError);
+  EXPECT_THROW((void)encode_text(FrameType::kResultLine, "x"),
+               ContractViolation);
+  EXPECT_THROW((void)encode_job_text(FrameType::kMetrics, 1, "x"),
+               ContractViolation);
 }
 
 TEST(PayloadCodec, TrailingBytesAreRejected) {
-  Frame frame = encode_cancel({5});
+  Frame frame = encode_cancel(5);
   frame.payload += '\0';  // smuggled byte past the schema
   EXPECT_THROW((void)decode_cancel(frame), ParseError);
 }
@@ -344,9 +368,10 @@ TEST(FrameCodecFuzz, CorruptedRealFramesNeverCrashThePayloadDecoders) {
 
 TEST(FrameCodecFuzz, CorruptedMetricsFramesNeverCrashTheDecoder) {
   Rng rng(20260807);
-  const Frame original = encode_metrics(
-      {"# TYPE mmlpt_admission_jobs_active gauge\n"
-       "mmlpt_admission_jobs_active 3\n"});
+  const Frame original =
+      encode_text(FrameType::kMetrics,
+                  "# TYPE mmlpt_admission_jobs_active gauge\n"
+                  "mmlpt_admission_jobs_active 3\n");
   for (int round = 0; round < 2000; ++round) {
     Frame frame = original;
     const int flips = static_cast<int>(rng.uniform(1, 4));
@@ -356,7 +381,7 @@ TEST(FrameCodecFuzz, CorruptedMetricsFramesNeverCrashTheDecoder) {
       frame.payload[pos] = static_cast<char>(rng.uniform(0, 255));
     }
     try {
-      (void)decode_metrics(frame);
+      (void)decode_text(frame);
     } catch (const ParseError&) {
       // The only legal failure mode.
     }

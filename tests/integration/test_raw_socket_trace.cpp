@@ -82,7 +82,7 @@ TEST(RouteSource, LoopbackV4IsAnsweredFrom127001) {
   EXPECT_EQ(probe::route_source(net::Ipv4Address(127, 0, 0, 2)), loopback);
 }
 
-TEST(RouteSource, LoopbackV6IsAnsweredFromItself) {
+TEST(RouteSource, LoopbackIpv6IsAnsweredFromItself) {
   const auto loopback = net::IpAddress::parse_or_throw("::1");
   net::IpAddress source;
   try {

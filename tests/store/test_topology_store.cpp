@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/le_codec.h"
 #include "support/hex.h"
 
 namespace mmlpt::store {
@@ -45,12 +46,6 @@ TopologySnapshot sample_snapshot() {
                    {net::IpAddress::v6(0x20010db8'00000000ULL, 7), 3}};
   snapshot.destinations = {{net::IpAddress(10, 9, 9, 9), {12, 345}}};
   return snapshot;
-}
-
-TEST(Crc32, MatchesKnownVectors) {
-  // The IEEE CRC-32 of "123456789" is the classic check value.
-  EXPECT_EQ(crc32("123456789"), 0xCBF43926U);
-  EXPECT_EQ(crc32(""), 0x00000000U);
 }
 
 TEST(SnapshotCodec, RoundTripsHopsAndDestinations) {
